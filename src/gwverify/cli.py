@@ -17,6 +17,7 @@ from .chern import degree_correction_genus3, euler_char, hypersurface, projectiv
 from .errors import (
     ExpectationMismatch,
     GwError,
+    NonConstantSum,
     ParseError,
     SchemaError,
     UnknownMonomial,
@@ -299,12 +300,13 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
+    except (ExpectationMismatch, NonConstantSum) as exc:
+        # both subclass ValueError, but they are failed checks, not usage errors
+        print(f"check failed: {exc}", file=sys.stderr)
+        return 1
     except (ParseError, SchemaError, UnknownMonomial, UnknownRubberKey, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ExpectationMismatch as exc:
-        print(f"mismatch: {exc}", file=sys.stderr)
-        return 1
     except GwError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 3

@@ -1,16 +1,23 @@
 """Pure psi-class intersection numbers <psi_1^a1 ... psi_n^an> on the moduli
-space of stable curves, by recursion on the largest exponent.
+space of stable curves.
 
-The recursion used is the Virasoro/KdV one (Dijkgraaf-Verlinde-Verlinde
-form), seeded with <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  It exists here as
-an independent oracle: any correct pure-psi recursion is acceptable, and the
-string/dilaton reductions double-check every memoized value.
+The recursion runs on normalised values N(g; a) = <prod tau_{a_i}>_g *
+prod (2a_i+1)!!, seeded with <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  A key
+with a 0 or 1 exponent is reduced by the string or dilaton equation; any
+other key by one step of the Virasoro/KdV recursion (Dijkgraaf-Verlinde-
+Verlinde form) on its largest exponent.  It exists here as an independent
+oracle: any correct pure-psi recursion is acceptable.  The DVV step holds at
+every point of every key but the two seeds, so ``dvv_expand`` double-checks
+the keys the recursion reduced by string or dilaton.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
+from math import comb
 
 from .errors import (
     NoUnitExponent,
@@ -57,6 +64,7 @@ def _check_bounds(key: PsiKey) -> None:
         )
 
 
+@lru_cache(maxsize=None)
 def _dfact(k: int) -> int:
     """(2k+1)!! for k >= -1; the k = -1 value is 1."""
     out = 1
@@ -65,59 +73,118 @@ def _dfact(k: int) -> int:
     return out
 
 
-def _value(g: int, exps: tuple[int, ...]) -> Fraction:
-    """Unchecked evaluation with the unstable-equals-zero convention."""
-    n = len(exps)
-    if g < 0 or n < 1 or 2 * g - 2 + n <= 0:
-        return Fraction(0)
-    if sum(exps) != 3 * g - 3 + n:
-        return Fraction(0)
-    return _recurse(g, tuple(sorted(exps, reverse=True)))
+def _dfprod(exps: tuple[int, ...]) -> int:
+    """prod (2a+1)!! over the exponents."""
+    out = 1
+    for a in exps:
+        out *= _dfact(a)
+    return out
 
 
-# values are deterministic, so unsynchronized concurrent writes are benign
-_MEMO: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+# (g, exponents) -> (intersection number, normalised value N); values are
+# deterministic, so unsynchronized concurrent writes are benign
+_MEMO: dict[tuple[int, tuple[int, ...]], tuple[Fraction, Fraction]] = {}
 
 
-def _recurse(g: int, exps: tuple[int, ...]) -> Fraction:
+def _norm(g: int, exps: tuple[int, ...]) -> Fraction:
+    """N(g; a) = <prod tau_{a_i}>_g * prod (2a_i+1)!! for a stable key of
+    matching dimension with descending exponents."""
     cached = _MEMO.get((g, exps))
-    if cached is not None:
-        return cached
-    value = _recurse_uncached(g, exps)
-    _MEMO[(g, exps)] = value
-    return value
+    if cached is None:
+        norm = _recurse_uncached(g, exps)
+        cached = _MEMO[(g, exps)] = (norm / _dfprod(exps), norm)
+    return cached[1]
 
 
 def _recurse_uncached(g: int, exps: tuple[int, ...]) -> Fraction:
+    """N(g; a) by one step: the seeds, else dilaton or string when removing
+    a point leaves a stable (g, n - 1), else DVV on the largest exponent."""
     if g == 0 and exps == (0, 0, 0):
         return Fraction(1)
     if g == 1 and exps == (1,):
-        return Fraction(1, 24)
-    a1, rest = exps[0], exps[1:]
-    if a1 == 0:
-        # all exponents zero: only (0, (0,0,0)) has matching dimension
-        return Fraction(0)
+        return Fraction(3, 24)  # 3!! <tau_1>_1
+    n = len(exps)
+    if 2 * g - 3 + n > 0:
+        if 1 in exps:
+            # dilaton: N(g; 1, A) = 3 (2g - 2 + |A|) N(g; A)
+            i = exps.index(1)
+            return 3 * (2 * g - 3 + n) * _norm(g, exps[:i] + exps[i + 1 :])
+        if exps[-1] == 0:
+            # string: N(g; 0, A) = sum_j (2a_j + 1) N(g; A with a_j lowered)
+            rest = exps[:-1]
+            total = Fraction(0)
+            for i, m, a in _runs(rest):
+                if a:
+                    lowered = rest[:i] + (a - 1,) + rest[i + 1 :]
+                    total += m * (2 * a + 1) * _norm(g, lowered)
+            return total
+    return _dvv(g, exps, 0)
+
+
+def _runs(exps: tuple[int, ...]):
+    """(index of the last copy, multiplicity, value) of each distinct value
+    of a descending tuple."""
+    start = 0
+    for i, a in enumerate(exps):
+        if i + 1 == len(exps) or exps[i + 1] != a:
+            yield i, i + 1 - start, a
+            start = i + 1
+
+
+def _dvv(g: int, exps: tuple[int, ...], point: int) -> Fraction:
+    """N(g; a) by one DVV step on the given point (an index into exps):
+
+    N(g; a, A) = sum_j (2a_j + 1) N(g; a + a_j - 1, A - a_j)
+               + 1/2 sum_{b + c = a - 2} [ N(g - 1; b, c, A)
+                   + sum_{I + J = A} N(g_1; b, I) N(g_2; c, J) ]
+
+    Separating splits are sub-multisets I of A weighted by prod C(m_k, i_k);
+    g_1 comes from the dimension equation b + sum(I) = 3 g_1 - 2 + |I|, and a
+    split without an integral, stable g_1 and g_2 is skipped unevaluated."""
+    a1, rest = exps[point], exps[:point] + exps[point + 1 :]
     total = Fraction(0)
-    # junction with another marked point
-    for j, aj in enumerate(rest):
-        new = rest[:j] + (a1 + aj - 1,) + rest[j + 1 :]
-        total += Fraction(_dfact(a1 + aj - 1), _dfact(aj - 1)) * _value(g, new)
-    # boundary terms
-    half = Fraction(0)
-    for b in range(a1 - 1):
+    for i, m, aj in _runs(rest):
+        if a1 + aj >= 1:
+            merged = tuple(sorted(rest[:i] + (a1 + aj - 1,) + rest[i + 1 :], reverse=True))
+            total += m * (2 * aj + 1) * _norm(g, merged)
+    if a1 < 2:
+        return total
+    # the boundary sum is symmetric under (b, I) <-> (c, J): take b <= c,
+    # and halve only the b = c term
+    nonseparating = g >= 1 and 2 * g - 2 + len(rest) > 0
+    splits = _splits(rest)
+    for b in range(a1 // 2):
         c = a1 - 2 - b
-        w = Fraction(_dfact(b) * _dfact(c))
-        # non-separating node
-        half += w * _value(g - 1, (b, c) + rest)
-        # separating node: split genus and the remaining points
-        for g1 in range(g + 1):
+        term = Fraction(0)
+        if nonseparating:
+            term += _norm(g - 1, tuple(sorted((b, c) + rest, reverse=True)))
+        for size, dim1, weight, left, right in splits:
+            g1, r = divmod(b + dim1 + 2 - size, 3)
             g2 = g - g1
-            for mask in range(1 << len(rest)):
-                s1 = tuple(rest[i] for i in range(len(rest)) if mask >> i & 1)
-                s2 = tuple(rest[i] for i in range(len(rest)) if not mask >> i & 1)
-                half += w * _value(g1, (b,) + s1) * _value(g2, (c,) + s2)
-    total += half / 2
-    return total / _dfact(a1)
+            if r or g1 < 0 or g2 < 0 or 2 * g1 - 1 + size <= 0 or 2 * g2 - 1 + len(rest) - size <= 0:
+                continue
+            term += (
+                weight
+                * _norm(g1, tuple(sorted((b,) + left, reverse=True)))
+                * _norm(g2, tuple(sorted((c,) + right, reverse=True)))
+            )
+        total += term if b < c else term / 2
+    return total
+
+
+def _splits(rest: tuple[int, ...]) -> list:
+    """Every sub-multiset I of a descending tuple with its complement J, as
+    (|I|, sum(I), prod C(m_k, i_k), I, J)."""
+    groups = [(a, m) for _, m, a in _runs(rest)]
+    out = []
+    for counts in itertools.product(*(range(m + 1) for _, m in groups)):
+        left, right, weight = (), (), 1
+        for (a, m), k in zip(groups, counts):
+            left += (a,) * k
+            right += (a,) * (m - k)
+            weight *= comb(m, k)
+        out.append((len(left), sum(left), weight, left, right))
+    return out
 
 
 def psi_intersect(key: PsiKey) -> Fraction:
@@ -125,7 +192,25 @@ def psi_intersect(key: PsiKey) -> Fraction:
     _check_bounds(key)
     if sum(key.exponents) != key.dim:
         return Fraction(0)
-    return _recurse(key.genus, key.exponents)
+    cached = _MEMO.get((key.genus, key.exponents))
+    if cached is None:
+        _norm(key.genus, key.exponents)
+        cached = _MEMO[(key.genus, key.exponents)]
+    return cached[0]
+
+
+def dvv_expand(key: PsiKey, point: int = 0) -> Fraction:
+    """<psi^a> by one DVV step on the point with index ``point`` of the sorted
+    exponents, with the smaller values from the memo (evaluated if missing).
+
+    The step holds at every point of every key except the two seeds
+    <tau_0^3>_0 and <tau_1>_1.  The recursion takes it only on the largest
+    exponent of keys it cannot reduce by string or dilaton, so at any other
+    point it is an independent check of the recursion."""
+    _check_bounds(key)
+    if sum(key.exponents) != key.dim:
+        return Fraction(0)
+    return _dvv(key.genus, key.exponents, point) / _dfprod(key.exponents)
 
 
 def string_reduce(key: PsiKey) -> list[PsiKey]:

@@ -33,7 +33,14 @@ from .localization import (
     problem_symbolic_total,
     problem_total,
 )
-from .psi import PsiKey, dilaton_reduce, memoized_keys, psi_intersect, string_reduce
+from .psi import (
+    PsiKey,
+    dilaton_reduce,
+    dvv_expand,
+    memoized_keys,
+    psi_intersect,
+    string_reduce,
+)
 from .reports import VerificationReport
 from .ring import BaseSpace, DMFactor, ProjLineFactor, TautClass, tc_invert, tc_mul
 from .scalars import EquivariantScalar, es_eval
@@ -263,16 +270,16 @@ def criterion_11_verdict_grid():
 
 def criterion_12_property_suites():
     """closure, confluence, unit-inverse, and numeric weight checks"""
-    # string/dilaton closure over the memoized recursion keys
+    # string/dilaton and DVV closure over the memoized recursion keys
     for g in range(4):
-        for n in range(1, 5):
+        for n in range(1, 6):
             if 2 * g - 2 + n <= 0:
                 continue
             dim = 3 * g - 3 + n
             for exps in itertools.combinations_with_replacement(range(dim + 1), n):
                 if sum(exps) == dim:
                     psi_intersect(PsiKey(g, exps))
-    closure_checked = 0
+    closure_checked = dvv_checked = 0
     for key in memoized_keys():
         if not key.is_stable() or sum(key.exponents) != key.dim:
             continue
@@ -286,7 +293,12 @@ def criterion_12_property_suites():
             if factor * psi_intersect(reduced) != stored:
                 return False, f"dilaton closure fails at {key}"
             closure_checked += 1
-    if closure_checked < 100:
+        # the recursion itself took string or dilaton here; DVV is independent
+        if {0, 1} & set(key.exponents) and 2 * key.genus - 2 + key.n - 1 > 0:
+            if dvv_expand(key) != stored:
+                return False, f"DVV closure fails at {key}"
+            dvv_checked += 1
+    if closure_checked < 100 or dvv_checked < 100:
         return False, "too few closure checks ran"
 
     # rewrite confluence on 1000 random monomials

@@ -150,3 +150,50 @@ def test_corrupted_table_reports_error(capsys, tmp_path):
         else:
             os.environ["GWVERIFY_DATA_DIR"] = old
         _reset_data_caches()
+
+
+def _point_diagram(tmp_path, obstruction, deformation, expected=None):
+    """A one-locus user diagram over a point: its total is obstruction/deformation."""
+    problem = {
+        "schema_version": 1,
+        "label": "user",
+        "symmetry_multiplier": "1",
+        "weight_swap": False,
+        "source": "test diagram",
+        "loci": [
+            {
+                "label": "pt",
+                "base": [{"kind": "point"}],
+                "insertion": "1",
+                "obstruction": obstruction,
+                "deformation": deformation,
+                "source": "test locus",
+            }
+        ],
+    }
+    if expected is not None:
+        problem["expected"] = expected
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps(problem))
+    return str(path)
+
+
+def test_weight_dependent_total_is_a_failed_check(capsys, tmp_path):
+    code, _, err = run(capsys, "localize", "--config", _point_diagram(tmp_path, "a1", "1"))
+    assert code == 1 and "weight symbols survive" in err
+
+
+def test_expectation_mismatch_is_a_failed_check(capsys, tmp_path, monkeypatch):
+    path = _point_diagram(tmp_path, "a1", "a1", expected="2")
+    code, out, _ = run(capsys, "localize", "--config", path)
+    assert code == 1 and "computed 1, expected 2" in out
+    # a mismatch that escapes a command is a failed check too, not a usage error
+    from gwverify import cli
+    from gwverify.errors import ExpectationMismatch
+
+    def mismatch(spec):
+        raise ExpectationMismatch("computed 1, expected 2")
+
+    monkeypatch.setattr(cli, "resolve_problem", mismatch)
+    code, _, err = run(capsys, "localize", "--config", path)
+    assert code == 1 and "computed 1, expected 2" in err

@@ -5,7 +5,15 @@ from fractions import Fraction
 import pytest
 
 from gwverify.errors import NoUnitExponent, NoZeroExponent, ResourceBound, UnstableInput
-from gwverify.psi import PsiKey, dilaton_reduce, memoized_keys, psi_intersect, string_reduce
+from gwverify import psi
+from gwverify.psi import (
+    PsiKey,
+    dilaton_reduce,
+    dvv_expand,
+    memoized_keys,
+    psi_intersect,
+    string_reduce,
+)
 
 
 def val(g, *exps):
@@ -135,7 +143,7 @@ def test_dilaton_stability_boundary():
 def test_string_dilaton_closure_on_memoized_keys():
     # warm the cache with a spread of values
     for g in range(4):
-        for n in range(1, 5):
+        for n in range(1, 6):
             if 2 * g - 2 + n <= 0:
                 continue
             dim = 3 * g - 3 + n
@@ -144,6 +152,7 @@ def test_string_dilaton_closure_on_memoized_keys():
                     val(g, *exps)
     keys = memoized_keys()
     assert len(keys) > 50
+    dvv_checked = 0
     for key in keys:
         if not key.is_stable() or sum(key.exponents) != key.dim:
             continue
@@ -153,3 +162,87 @@ def test_string_dilaton_closure_on_memoized_keys():
         if 1 in key.exponents and 2 * key.genus - 2 + key.n - 1 > 0:
             factor, k = dilaton_reduce(key)
             assert factor * psi_intersect(k) == stored
+        # the recursion itself took string or dilaton here; DVV is independent
+        if {0, 1} & set(key.exponents) and 2 * key.genus - 2 + key.n - 1 > 0:
+            assert dvv_expand(key) == stored
+            dvv_checked += 1
+    assert dvv_checked > 50
+
+
+def _two_point_function(max_genus):
+    """Coefficients of Dijkgraaf's two-point function, the n = 2 case of the
+    Liu-Xu n-point function:
+
+        F(x, y) = sum <tau_a tau_b>_g x^a y^b
+                = (E - 1)/(x + y) + E sum_{k>=1} k!/((2k+1)! 2^k) (xy)^k (x+y)^(k-1),
+
+    with E = exp((x^3 + y^3)/24).  Polynomials are {(i, j): coefficient},
+    cut above total degree 3 max_genus - 1; x^3 + y^3 = (x + y)(x^2 - xy + y^2)
+    makes the first term a polynomial."""
+    import math
+
+    top = 3 * max_genus - 1
+
+    def mul(p, q):
+        out = {}
+        for (i, j), u in p.items():
+            for (k, l), v in q.items():
+                if i + j + k + l <= top:
+                    out[i + k, j + l] = out.get((i + k, j + l), 0) + u * v
+        return out
+
+    def power(p, e):
+        out = {(0, 0): Fraction(1)}
+        for _ in range(e):
+            out = mul(out, p)
+        return out
+
+    def add(acc, p, scale):
+        for mono, c in p.items():
+            acc[mono] = acc.get(mono, 0) + scale * c
+
+    s = {(1, 0): 1, (0, 1): 1}
+    q = {(2, 0): 1, (1, 1): -1, (0, 2): 1}
+    e, series, f = {}, {}, {}
+    for m in range(max_genus + 1):
+        add(e, power({(3, 0): 1, (0, 3): 1}, m), Fraction(1, 24**m * math.factorial(m)))
+    for k in range(1, max_genus + 1):
+        add(f, mul(power(s, k - 1), power(q, k)), Fraction(1, 24**k * math.factorial(k)))
+        add(series, mul({(k, k): 1}, power(s, k - 1)),
+            Fraction(math.factorial(k), math.factorial(2 * k + 1) * 2**k))
+    add(f, mul(e, series), 1)
+    return f
+
+
+def test_two_point_function():
+    # an oracle that shares no code with the recursion
+    f = _two_point_function(6)
+    checked = 0
+    for g in range(1, 7):
+        for b in range((3 * g - 1) // 2 + 1):
+            a = 3 * g - 1 - b
+            assert val(g, a, b) == f.get((a, b), 0), (g, a, b)
+            checked += 1
+    assert checked == 33
+
+
+# among the slowest keys of the MAX_GENUS x MAX_POINTS box when cold
+HEAVY_KEYS = [
+    (6, (5,) + (2,) * 11),
+    (6, (3, 3, 3) + (2,) * 9),
+    (6, (4, 4, 3) + (2,) * 7),
+    (6, (5, 5, 5, 4, 2, 2, 2, 2, 0, 0, 0, 0)),
+]
+
+
+@pytest.mark.parametrize("g,exps", HEAVY_KEYS)
+def test_heaviest_cells_cold(g, exps):
+    psi._MEMO.clear()
+    key = PsiKey(g, exps)
+    value = psi_intersect(key)
+    assert value > 0
+    # the DVV step holds on every point; the recursion took it only on the
+    # largest exponent (or string on the zeros), so the others are checks
+    for point, a in enumerate(key.exponents):
+        if point == 0 or a != key.exponents[point - 1]:
+            assert dvv_expand(key, point) == value, point

@@ -108,7 +108,7 @@ def test_integrate_linear_over_scalars():
     a = parse_class("psi[0,1]^4", M21)
     b = parse_class("psi[0,1]^2*lam[0,2]", M21)
     c = a.scale(A1) + b.scale(A2 ** 2)
-    assert tc_integrate(c) == A1.scale(Fraction(1, 1152)) + (A2 ** 2).scale(Fraction(1, 5760))
+    assert tc_integrate(c) == A1.scale(Fraction(1, 1152)) + (A2 ** 2).scale(Fraction(7, 5760))
 
 
 def test_hodge_twist_genus2():
