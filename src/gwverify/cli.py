@@ -53,6 +53,15 @@ def _ints(text: str) -> list[int]:
     return [int(p) for p in text.split(",")]
 
 
+def degree(text: str) -> int:
+    """A numeric `--delta`: a divisor degree or point count, at least 1.
+    argparse names the function in its "invalid degree value" message."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _space(name: str):
     name = name.upper()
     if not name.startswith("P") or not name[1:].isdigit():
@@ -254,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("graphs", help="degeneration graphs for the worked examples")
     p.add_argument("--example", type=int, required=True, choices=(2, 3))
-    p.add_argument("--delta", type=int, required=True)
+    p.add_argument("--delta", type=degree, required=True)
     group = p.add_mutually_exclusive_group()
     group.add_argument("--all", action="store_true", default=True)
     group.add_argument("--surviving", action="store_true")
@@ -279,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="assemble and check a worked example")
     p.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
-    p.add_argument("--delta", type=int, default=None)
+    p.add_argument("--delta", type=degree, default=None)
     p.add_argument("--symbolic", action="store_true", help="polynomial identity in the degree")
     p.add_argument("--n", type=int, default=4, help="ambient dimension (example 1)")
     p.add_argument("--json", action="store_true")

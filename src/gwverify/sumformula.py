@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .chern import (
@@ -210,27 +211,32 @@ def _partitions(total: int, max_part: Optional[int] = None):
             yield (first,) + rest
 
 
-def _vertex_shapes(weight: int):
-    """Multisets of (d_v, labels) vertex decorations absorbing the weight."""
-    # split the weight among vertices, then split each vertex load into labels
-    for loads in _partitions(weight):
-        pools = [list(_partitions(d)) for d in loads]
+def _vertex_shapes(weight: int, loops: int):
+    """Multisets of (d_v, labels) vertex decorations absorbing the weight, each
+    a descending tuple built once; a vertex with e labels closes e - 1 loops
+    of the graph, and shapes closing more than `loops` are pruned."""
+    types = sorted(((d, ls) for d in range(1, weight + 1) for ls in _partitions(d)), reverse=True)
 
-        def rec(i, acc):
-            if i == len(loads):
-                yield tuple(sorted(acc, reverse=True))
-                return
-            for labels in pools[i]:
-                yield from rec(i + 1, acc + [(loads[i], labels)])
+    def rec(start, left, loops_left):
+        if left == 0:
+            yield ()
+            return
+        for i in range(start, len(types)):
+            d, labels = types[i]
+            if d <= left and len(labels) - 1 <= loops_left:
+                for rest in rec(i, left - d, loops_left - len(labels) + 1):
+                    yield (types[i],) + rest
 
-        yield from set(rec(0, []))
+    return rec(0, weight, loops)
 
 
 def enumerate_graphs(
     g: int, AdotV: int, k: int, constraints: GraphConstraints
 ) -> list[BipartiteGraph]:
     """All decorated bipartite graphs for the setting, up to isomorphism
-    (divisor components stay distinguishable)."""
+    (divisor components stay distinguishable), each generated once."""
+    if AdotV < 0:
+        raise ValueError("A.V must be nonnegative")
     if g > MAX_GRAPH_GENUS or AdotV > MAX_GRAPH_WEIGHT:
         raise ResourceBound(
             f"graph enumeration bounded by g <= {MAX_GRAPH_GENUS}, "
@@ -254,60 +260,39 @@ def enumerate_graphs(
         weights = [1] * ncomp
     else:
         weights = [AdotV]
-
-    # per component, the possible vertex shape multisets
-    shape_choices = [list(_vertex_shapes(w)) for w in weights]
-
+    cap = constraints.genus_cap_v
+    # one frozen vertex per decoration, shared by every graph that uses it
+    v_pool: dict = {}
     graphs: list[BipartiteGraph] = []
+    for shapes in product(*(_vertex_shapes(w, g) for w in weights)):
+        vertices = [
+            (comp if ncomp > 1 else 0, d, labels)
+            for comp, shape in enumerate(shapes, start=1)
+            for d, labels in shape
+        ]
+        budget = g - sum(len(labels) - 1 for _, _, labels in vertices)
+        if budget < 0:
+            continue
+        labels = tuple(labels for _, _, labels in vertices)
 
-    def build(ci, shape_acc):
-        if ci == len(weights):
-            vertices = [
-                (comp, d, labels)
-                for comp, shapes in enumerate(shape_acc, start=1)
-                for d, labels in shapes
-            ]
-            nv = len(vertices)
-            edges = sum(len(labels) for _, _, labels in vertices)
-            g_graph = edges - (1 + nv) + 1
-            if g_graph < 0:
+        # genera rise weakly along each run of identical vertices, so each
+        # graph appears once; the X-vertex takes the genus left over
+        def genera(i, left, acc):
+            if i == len(vertices):
+                graphs.append(BipartiteGraph(GraphVertex("X", left, 1, k), tuple(acc), labels))
                 return
-            budget = g - g_graph
-            if budget < 0:
-                return
-            # distribute genera over the V-vertices and the X-vertex
-            def genera(i, left, acc):
-                if i == nv:
-                    vs = tuple(
-                        GraphVertex("V", gv, d, 0, component=comp if ncomp > 1 else 0)
-                        for (comp, d, labels), gv in zip(vertices, acc)
-                    )
-                    labels = tuple(tuple(labels) for _, _, labels in vertices)
-                    graphs.append(
-                        BipartiteGraph(GraphVertex("X", left, 1, k), vs, labels)
-                    )
-                    return
-                for gv in range(min(left, constraints.genus_cap_v) + 1):
-                    genera(i + 1, left - gv, acc + [gv])
+            comp, d, _ = vertices[i]
+            lo = acc[-1].genus if i and vertices[i] == vertices[i - 1] else 0
+            for gv in range(lo, min(left, cap) + 1):
+                key = (gv, d, comp)
+                vertex = v_pool.get(key) or v_pool.setdefault(key, GraphVertex("V", gv, d, 0, comp))
+                genera(i + 1, left - gv, acc + [vertex])
 
-            genera(0, budget, [])
-            return
-        for shapes in shape_choices[ci]:
-            build(ci + 1, shape_acc + [shapes])
-
-    build(0, [])
-    # deduplicate (identical vertex multisets can arise from genus assignment order)
-    seen = {}
+        genera(0, budget, [])
+    graphs.sort(key=BipartiteGraph.describe)
     for graph in graphs:
-        key = (
-            graph.x_vertex,
-            tuple(sorted(zip(graph.v_vertices, graph.labels), key=repr)),
-        )
-        seen.setdefault(key, graph)
-    out = sorted(seen.values(), key=lambda gr: gr.describe())
-    for graph in out:
         graph.validate(g, AdotV, k)
-    return out
+    return graphs
 
 
 def vanishing_filter(

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shutil
@@ -95,6 +96,31 @@ def test_verify_commands(capsys):
 def test_graphs_command(capsys):
     code, out, _ = run(capsys, "graphs", "--example", "3", "--delta", "7")
     assert code == 0 and "2 of" in out.splitlines()[-1]
+
+
+def test_graphs_output_golden(capsys):
+    # sha256 of the full stdout: pins the describe() order and, among the
+    # isomorphic orderings of a graph's V-vertices, the one that is printed
+    golden = {
+        ("3", "6"): "1cf99039135c529c665bd680fff24d5ea9a366f8da3de2078a8c9f3cd6c9520a",
+        ("3", "9"): "c875cd2704738c89e537dd32133203932d15677965e3b79c584d894a61631904",
+        ("2", "5"): "c8935445b38d21bc6ee287d04a7488a89ec005d0522e42a69fe5af657c464fa6",
+    }
+    for (example, delta), digest in golden.items():
+        code, out, _ = run(capsys, "graphs", "--example", example, "--delta", delta)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (example, delta)
+
+
+def test_degree_below_one_is_a_usage_error(capsys):
+    for argv in (
+        ("graphs", "--example", "3", "--delta", "-2"),
+        ("graphs", "--example", "2", "--delta", "0"),
+        ("verify", "--example", "2", "--delta", "-1"),
+        ("verify", "--example", "3", "--delta", "0"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "at least 1" in err, argv
 
 
 def test_usage_errors(capsys):

@@ -1,3 +1,6 @@
+from collections import Counter
+from itertools import product
+
 import pytest
 
 from gwverify.errors import ContactMismatch, ResourceBound
@@ -116,7 +119,7 @@ def test_thm1_monotone_in_n():
 # -- graph enumeration ---------------------------------------------------------------
 
 def test_example2_graph_counts():
-    for delta in range(1, 8):
+    for delta in range(1, 13):
         cons = GraphConstraints(genus_cap_v=2, v_components=delta)
         graphs = enumerate_graphs(2, delta, 2, cons)
         # genus budget 2 over the X-vertex and the delta V-vertices:
@@ -136,6 +139,70 @@ def test_example3_graph_counts():
         # the two survivors: all-basic with X-genus 3, and one genus-3 vertex
         genera = sorted(max((v.genus for v in g.v_vertices), default=0) for g in surviving)
         assert genera == [0, 3]
+
+
+def test_example3_graph_totals():
+    cons = GraphConstraints(genus_cap_v=3, v_components=1)
+    totals = [len(enumerate_graphs(3, d, 1, cons)) for d in range(1, 13)]
+    assert totals == [4, 13, 32, 73, 147, 287, 521, 922, 1563, 2592, 4172, 6602]
+
+
+def _compositions(total):
+    """Ordered tuples of positive integers summing to total."""
+    if total == 0:
+        yield ()
+    for first in range(1, total + 1):
+        for rest in _compositions(total - first):
+            yield (first,) + rest
+
+
+def _brute_force_keys(g, AdotV, k, cons):
+    """Every graph as an isomorphism-invariant key, from ordered tuples of
+    V-vertex decorations (genus, d, labels), one tuple per divisor component."""
+    weights = [1] * AdotV if cons.v_components > 1 else [AdotV]
+    per_component = []
+    for comp, w in enumerate(weights, start=1):
+        tag = comp if cons.v_components > 1 else 0
+        per_component.append([
+            tuple((tag, d, ls) for d, ls in zip(loads, labels))
+            for loads in _compositions(w)
+            for labels in product(*({tuple(sorted(c, reverse=True)) for c in _compositions(d)} for d in loads))
+        ])
+    keys = set()
+    for parts in product(*per_component):
+        vertices = [v for part in parts for v in part]
+        loops = sum(len(ls) - 1 for _, _, ls in vertices)
+        for genera in product(range(cons.genus_cap_v + 1), repeat=len(vertices)):
+            x_genus = g - loops - sum(genera)
+            if x_genus < 0:
+                continue
+            decorations = Counter(
+                (GraphVertex("V", gv, d, 0, comp), ls) for (comp, d, ls), gv in zip(vertices, genera)
+            )
+            keys.add((GraphVertex("X", x_genus, 1, k), frozenset(decorations.items())))
+    return keys
+
+
+def test_enumeration_matches_brute_force():
+    for g in range(4):
+        for AdotV in range(1, 7):
+            for cons in (
+                GraphConstraints(genus_cap_v=3, v_components=1),
+                GraphConstraints(genus_cap_v=1, v_components=1),
+                GraphConstraints(genus_cap_v=2, v_components=AdotV),
+            ):
+                graphs = enumerate_graphs(g, AdotV, 1, cons)
+                keys = [
+                    (gr.x_vertex, frozenset(Counter(zip(gr.v_vertices, gr.labels)).items()))
+                    for gr in graphs
+                ]
+                assert len(set(keys)) == len(keys), (g, AdotV, cons)  # no graph twice
+                assert set(keys) == _brute_force_keys(g, AdotV, 1, cons), (g, AdotV, cons)
+
+
+def test_negative_degree_rejected():
+    with pytest.raises(ValueError):
+        enumerate_graphs(1, -1, 0, GraphConstraints())
 
 
 def test_genus_zero_graphs_are_trees():
