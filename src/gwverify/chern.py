@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 
 from .errors import InclusionUndeclared, InternalMismatch
 from .hodge import HodgeMonomial, hodge_intersect
+from .scalars import _uadd, _umul, _uneg
 
 Coeff = Union[Fraction, "DeltaPoly"]
 
@@ -63,20 +64,12 @@ class DeltaPoly:
         return DeltaPoly([Fraction(other)])
 
     def __add__(self, other):
-        o = self._lift(other)
-        n = max(len(self.coeffs), len(o.coeffs))
-        return DeltaPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (o.coeffs[i] if i < len(o.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        return DeltaPoly(_uadd(self.coeffs, self._lift(other).coeffs))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DeltaPoly([-c for c in self.coeffs])
+        return DeltaPoly(_uneg(self.coeffs))
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -85,14 +78,7 @@ class DeltaPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if self.is_zero() or o.is_zero():
-            return DeltaPoly([])
-        out = [Fraction(0)] * (len(self.coeffs) + len(o.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(o.coeffs):
-                out[i + j] += a * b
-        return DeltaPoly(out)
+        return DeltaPoly(_umul(self.coeffs, self._lift(other).coeffs))
 
     __rmul__ = __mul__
 

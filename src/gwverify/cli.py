@@ -54,7 +54,8 @@ def _ints(text: str) -> list[int]:
 
 
 def degree(text: str) -> int:
-    """A numeric `--delta`: a divisor degree or point count, at least 1.
+    """A numeric degree (`--delta`, `--hypersurface`, `--V`): a divisor
+    degree or point count, at least 1.
     argparse names the function in its "invalid degree value" message."""
     value = int(text)
     if value < 1:
@@ -239,14 +240,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chern", help="Chern data of a projective space or hypersurface")
     p.add_argument("--space", required=True, help="P1..P6")
-    p.add_argument("--hypersurface", type=int, default=None, help="divisor degree")
+    p.add_argument("--hypersurface", type=degree, default=None, help="divisor degree")
     p.add_argument("--report", action="store_true", help="(default output is the report)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_chern)
 
     p = sub.add_parser("gw10", help="genus-1 degree-0 invariants")
     p.add_argument("--X", required=True, help="P1..P6")
-    p.add_argument("--V", type=int, default=None, help="hypersurface degree")
+    p.add_argument("--V", type=degree, default=None, help="hypersurface degree")
     p.add_argument("--insertion", default="j", help="'j' or 'alpha:<mult>'")
     p.set_defaults(fn=cmd_gw10)
 

@@ -17,6 +17,10 @@ class DenominatorVanishes(GwError, ZeroDivisionError):
     """Substituting weights into a rational function zeroed its denominator."""
 
 
+class Inhomogeneous(GwError, ValueError):
+    """A weight polynomial, or a sum of scalars, mixes degrees in a1, a2."""
+
+
 # -- psi recursion ---------------------------------------------------------
 
 class UnstableInput(GwError, ValueError):

@@ -10,7 +10,9 @@ Grammar (whitespace-insensitive):
     ident   := 'psi[f,i]' | 'lam[f,j]' | 'x[f]' | 'psiinf[f]' | 'a1' | 'a2'
 
 Rationals are spelled as divisions of integers (for instance ``5/165888``);
-division requires a scalar (degree-0, invertible) right-hand side.
+division requires a scalar (degree-0, invertible) right-hand side.  Weight
+scalars are homogeneous in ``a1, a2``: adding scalars of different degrees,
+as in ``a1 + 1``, raises :class:`Inhomogeneous`.
 ``hodgetwist(g; w1, ...)`` attaches to the unique genus-g factor of the base.
 """
 
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import re
 
-from .errors import BaseMismatch, ParseError
+from .errors import BaseMismatch, Inhomogeneous, ParseError
 from .ring import BaseSpace, TautClass, hodge_twist_by_genus
 from .scalars import EquivariantScalar
 
@@ -69,7 +71,10 @@ class _Parser:
             raise ParseError(f"expected {value!r} at position {pos} in {self.text!r}")
 
     def parse(self) -> TautClass:
-        out = self.expr()
+        try:
+            out = self.expr()
+        except Inhomogeneous as exc:
+            raise Inhomogeneous(f"{exc} in {self.text!r}") from None
         kind, val, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {val!r} at position {pos} in {self.text!r}")

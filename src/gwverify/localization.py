@@ -29,6 +29,7 @@ from ._data import load_json
 from .errors import (
     BaseMismatch,
     ExpectationMismatch,
+    Inhomogeneous,
     NonConstantSum,
     NonInvertible,
     NonInvertibleDeformation,
@@ -109,22 +110,18 @@ def locus_contribution(spec: FixedLocusSpec) -> EquivariantScalar:
     if hit is not None and hit[0] is spec:
         return hit[1]
     total = ES_ZERO
-    for term in spec.terms:
-        total = total + _term_contribution(term)
+    try:
+        for term in spec.terms:
+            total = total + _term_contribution(term)
+    except Inhomogeneous as exc:
+        raise SchemaError(f"locus {spec.label!r}: {exc}") from exc
     _CONTRIB_CACHE[id(spec)] = (spec, total)
     return total
 
 
 def problem_total(problem: LocalizationProblem) -> Fraction:
     """Sum the problem's loci; the result must be a weight-free rational."""
-    total = ES_ZERO
-    for spec in sorted(problem.loci, key=lambda s: s.label):
-        if spec.vanishes is not None:
-            continue
-        total = total + locus_contribution(spec)
-    total = total.scale(problem.symmetry_multiplier)
-    if problem.weight_swap:
-        total = total + total.swap_weights()
+    total = problem_symbolic_total(problem)
     value = total.is_constant()
     if value is None:
         raise NonConstantSum(
@@ -183,7 +180,7 @@ def _parse_term(raw: dict, where: str) -> LocusTerm:
     for name in ("insertion", "obstruction", "deformation"):
         try:
             out[name] = parse_class(str(raw.get(name, "1")), base)
-        except (ParseError, BaseMismatch) as exc:
+        except (ParseError, BaseMismatch, Inhomogeneous) as exc:
             raise SchemaError(f"{where}: bad {name} expression: {exc}") from exc
     return LocusTerm(
         base=base,

@@ -1,13 +1,18 @@
-"""Exact scalar tower: rationals, polynomials in the two torus weights a1, a2,
-and canonical ratios of such polynomials.
+"""Exact scalar tower: rationals, binary forms in the two torus weights a1,
+a2, and canonical ratios of such forms.
 
 Every number in the package is built from these types; no floating point is
-used anywhere.  A :class:`WeightPoly` is a sparse polynomial with
-``Fraction`` coefficients keyed on exponent pairs ``(e1, e2)``; an
-:class:`EquivariantScalar` is a reduced fraction ``num/den`` of two such
-polynomials, normalized so that ``gcd(num, den) = 1``, the denominator has
-coprime integer coefficients, and its graded-lex leading coefficient is
-positive.  Canonical form makes equality syntactic.
+used anywhere.  A :class:`WeightPoly` is a binary form: a sparse homogeneous
+polynomial with ``Fraction`` coefficients keyed on exponent pairs
+``(e1, e2)`` of one total degree.  Building an inhomogeneous one (``a1 + 1``)
+raises :class:`Inhomogeneous`; a product of forms is a form.  A form of
+degree d is ``a1^d f(a2/a1)``, so gcds and exact divisions run on the
+coefficient row of ``f`` in the one variable ``t = a2/a1`` once the powers
+of ``a1`` and ``a2`` are split off.  An :class:`EquivariantScalar` is a
+reduced fraction ``num/den`` of two forms, normalized so that
+``gcd(num, den) = 1``, the denominator has coprime integer coefficients,
+and its graded-lex leading coefficient is positive.  Canonical form makes
+equality syntactic.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Optional
 
-from .errors import DenominatorVanishes, DivisionByZero
+from .errors import DenominatorVanishes, DivisionByZero, Inhomogeneous
 
 Rational = Fraction
 
@@ -39,7 +44,8 @@ def _mono_key(e: Exponent) -> tuple[int, int]:
 
 
 # ---------------------------------------------------------------------------
-# univariate helpers over Fraction (dense lists, lowest degree first)
+# univariate helpers over Fraction (dense lists, lowest degree first): the rows
+# of forms in t = a2/a1 here, and the coefficients of chern.DeltaPoly
 # ---------------------------------------------------------------------------
 
 def _utrim(p: list[Fraction]) -> list[Fraction]:
@@ -74,10 +80,6 @@ def _umul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
     return _utrim(out)
 
 
-def _uscale(p: list[Fraction], c: Fraction) -> list[Fraction]:
-    return [] if c == 0 else _utrim([a * c for a in p])
-
-
 def _udivmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
     if not q:
         raise DivisionByZero("univariate division by zero polynomial")
@@ -94,26 +96,12 @@ def _udivmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list
     return _utrim(quo), rem
 
 
-def _unormalize(p: list[Fraction]) -> list[Fraction]:
-    """Scale to coprime integer coefficients with a positive leading one."""
-    if not p:
-        return p
-    num = 0
-    den = 1
-    for c in p:
-        num = _int_gcd(num, c.numerator)
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    scale = Fraction(den, num)
-    if p[-1] < 0:
-        scale = -scale
-    return _uscale(p, scale)
-
-
 def _ugcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+    """A gcd of two nonzero rows, up to a rational factor."""
     a, b = list(p), list(q)
     while b:
         a, b = b, _udivmod(a, b)[1]
-    return _unormalize(a)
+    return a
 
 
 # ---------------------------------------------------------------------------
@@ -121,9 +109,10 @@ def _ugcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 class WeightPoly:
-    """Sparse exact polynomial in the weight symbols a1, a2.
+    """Binary form: a sparse homogeneous polynomial in the weights a1, a2.
 
     Zero coefficients are never stored; instances are treated as immutable.
+    The zero polynomial is a form of every degree.
     """
 
     __slots__ = ("terms",)
@@ -138,6 +127,8 @@ class WeightPoly:
                         raise ValueError(f"negative exponent {e}")
                     clean[(int(e[0]), int(e[1]))] = c
         self.terms = clean
+        if len(clean) > 1 and len({e1 + e2 for e1, e2 in clean}) > 1:
+            raise Inhomogeneous(f"{self} is not homogeneous in a1, a2")
 
     # -- constructors -------------------------------------------------------
     @classmethod
@@ -165,8 +156,11 @@ class WeightPoly:
             return self.terms[(0, 0)]
         return None
 
-    def total_degree(self) -> int:
-        return max((e[0] + e[1] for e in self.terms), default=0)
+    def degree(self) -> int:
+        """The total degree of the form; 0 for the zero polynomial."""
+        for e1, e2 in self.terms:
+            return e1 + e2
+        return 0
 
     def leading(self) -> tuple[Exponent, Fraction]:
         e = max(self.terms, key=_mono_key)
@@ -174,6 +168,15 @@ class WeightPoly:
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "WeightPoly") -> "WeightPoly":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        if self.degree() != other.degree():
+            raise Inhomogeneous(
+                f"cannot add forms of degree {self.degree()} and {other.degree()}: "
+                f"{self} and {other}"
+            )
         out = dict(self.terms)
         for e, c in other.terms.items():
             s = out.get(e, Fraction(0)) + c
@@ -228,11 +231,6 @@ class WeightPoly:
                 base = base * base
         return out
 
-    def shift(self, d1: int, d2: int) -> "WeightPoly":
-        res = WeightPoly.__new__(WeightPoly)
-        res.terms = {(e[0] + d1, e[1] + d2): c for e, c in self.terms.items()}
-        return res
-
     def eval_at(self, w1: Rational, w2: Rational) -> Fraction:
         w1, w2 = Fraction(w1), Fraction(w2)
         total = Fraction(0)
@@ -279,12 +277,8 @@ class WeightPoly:
 
 
 # ---------------------------------------------------------------------------
-# polynomial gcd (primitive PRS, a1 as the main variable)
+# gcd and exact division of forms, in t = a2/a1
 # ---------------------------------------------------------------------------
-
-def _mono_content(p: WeightPoly) -> Exponent:
-    return (min(e[0] for e in p.terms), min(e[1] for e in p.terms))
-
 
 def _rational_content(p: WeightPoly) -> Fraction:
     """c with p/c primitive-integer and positive graded-lex lead; 1 for 0."""
@@ -299,137 +293,68 @@ def _rational_content(p: WeightPoly) -> Fraction:
     return -c if p.leading()[1] < 0 else c
 
 
-def _to_rec(p: WeightPoly) -> dict[int, list[Fraction]]:
-    """View in a1: maps a1-degree -> univariate polynomial in a2."""
-    rec: dict[int, list[Fraction]] = {}
-    for (e1, e2), c in p.terms.items():
-        row = rec.setdefault(e1, [])
-        while len(row) <= e2:
-            row.append(Fraction(0))
-        row[e2] = c
-    return {d: _utrim(row) for d, row in rec.items() if _utrim(list(row))}
-
-
-def _from_rec(rec: Mapping[int, list[Fraction]]) -> WeightPoly:
-    terms: dict[Exponent, Fraction] = {}
-    for d, row in rec.items():
-        for e2, c in enumerate(row):
-            if c:
-                terms[(d, e2)] = c
-    return WeightPoly(terms)
-
-
-def _rec_content(rec: Mapping[int, list[Fraction]]) -> list[Fraction]:
-    g: list[Fraction] = []
-    for row in rec.values():
-        g = _ugcd(g, row)
-    return g
-
-
-def _rec_div_coeffs(rec: Mapping[int, list[Fraction]], d: list[Fraction]) -> dict[int, list[Fraction]]:
-    out: dict[int, list[Fraction]] = {}
-    for k, row in rec.items():
-        q, r = _udivmod(row, d)
-        if r:
-            raise ArithmeticError("inexact coefficient division in gcd")
-        out[k] = q
-    return out
-
-
-def _rec_prem(a: dict[int, list[Fraction]], b: dict[int, list[Fraction]]) -> dict[int, list[Fraction]]:
-    """Pseudo-remainder of a by b in (Q[a2])[a1]."""
-    da, db = max(a), max(b)
-    lb = b[db]
-    rem = {k: list(v) for k, v in a.items()}
-    while rem and max(rem) >= db:
-        dr = max(rem)
-        lr = rem[dr]
-        # rem = lb*rem - lr*x^(dr-db)*b
-        new: dict[int, list[Fraction]] = {}
-        for k, row in rem.items():
-            if k == dr:
-                continue
-            new[k] = _umul(row, lb)
-        for k, row in b.items():
-            if k == db:
-                continue
-            t = k + dr - db
-            new[t] = _uadd(new.get(t, []), _uneg(_umul(row, lr)))
-        rem = {k: v for k, v in new.items() if v}
-    return rem
-
-
-def poly_gcd(p: WeightPoly, q: WeightPoly) -> WeightPoly:
-    """Gcd over Q[a1, a2], normalized primitive-integer with positive lead."""
-    if p.is_zero():
-        return _normalize_poly(q)
-    if q.is_zero():
-        return _normalize_poly(p)
-    mp, mq = _mono_content(p), _mono_content(q)
-    common = (min(mp[0], mq[0]), min(mp[1], mq[1]))
-    ps = p.shift(-mp[0], -mp[1])
-    qs = q.shift(-mq[0], -mq[1])
-    g = _primitive_gcd(ps, qs).shift(*common)
-    return _normalize_poly(g)
-
-
-def _primitive_gcd(p: WeightPoly, q: WeightPoly) -> WeightPoly:
-    if p.as_const() is not None or q.as_const() is not None:
-        return WeightPoly.const(1)
-    rp, rq = _to_rec(p), _to_rec(q)
-    dp, dq = max(rp), max(rq)
-    if dp == 0 and dq == 0:
-        return _from_rec({0: _ugcd(rp[0], rq[0])})
-    if dp == 0:
-        return _from_rec({0: _ugcd(rp[0], _rec_content(rq))})
-    if dq == 0:
-        return _from_rec({0: _ugcd(rq[0], _rec_content(rp))})
-    cont_p, cont_q = _rec_content(rp), _rec_content(rq)
-    gcont = _ugcd(cont_p, cont_q)
-    a = _rec_div_coeffs(rp, cont_p)
-    b = _rec_div_coeffs(rq, cont_q)
-    if max(a) < max(b):
-        a, b = b, a
-    while True:
-        r = _rec_prem(a, b)
-        if not r:
-            g1 = _rec_div_coeffs(b, _rec_content(b))
-            break
-        if max(r) == 0:
-            g1 = {0: [Fraction(1)]}
-            break
-        a, b = b, _rec_div_coeffs(r, _rec_content(r))
-    gp = _from_rec(g1)
-    if gcont != [Fraction(1)]:
-        gp = gp * _from_rec({0: gcont})
-    return gp
-
-
 def _normalize_poly(p: WeightPoly) -> WeightPoly:
     if p.is_zero():
         return p
     return p.scale(1 / _rational_content(p))
 
 
+def _row(p: WeightPoly) -> tuple[int, int, list[Fraction]]:
+    """Split a nonzero form as ``a1^i * a2^j * r`` with r prime to a1 and a2.
+
+    Returns i, j and the coefficients of ``r(1, t)``, lowest power first.
+    """
+    j = min(e2 for _, e2 in p.terms)
+    top = max(e2 for _, e2 in p.terms)
+    row = [Fraction(0)] * (top - j + 1)
+    for (_, e2), c in p.terms.items():
+        row[e2 - j] = c
+    return p.degree() - top, j, row
+
+
+def _from_row(i: int, j: int, row: list[Fraction]) -> WeightPoly:
+    """``a1^i * a2^j`` times the form of degree ``len(row) - 1`` whose
+    coefficients in t = a2/a1 are row (trimmed, lowest power first)."""
+    top = len(row) - 1
+    res = WeightPoly.__new__(WeightPoly)
+    res.terms = {(i + top - k, j + k): c for k, c in enumerate(row) if c}
+    return res
+
+
+def poly_gcd(p: WeightPoly, q: WeightPoly) -> WeightPoly:
+    """Gcd of two forms, normalized primitive-integer with positive lead.
+
+    The monomial parts split off and give ``a1^min * a2^min``; the rest is
+    prime to a1, so its gcd is the gcd of the rows in t, made a form again.
+    """
+    if p.is_zero():
+        return _normalize_poly(q)
+    if q.is_zero():
+        return _normalize_poly(p)
+    ip, jp, rp = _row(p)
+    iq, jq, rq = _row(q)
+    if len(rp) == 1 or len(rq) == 1:
+        g = [Fraction(1)]  # one side is a monomial
+    else:
+        g = _ugcd(rp, rq)
+    return _normalize_poly(_from_row(min(ip, iq), min(jp, jq), g))
+
+
 def poly_divexact(p: WeightPoly, g: WeightPoly) -> WeightPoly:
-    """Exact division p/g; raises if g does not divide p."""
+    """Exact division p/g of forms; raises if g does not divide p."""
     if g.is_zero():
         raise DivisionByZero("division by zero polynomial")
     gc = g.as_const()
     if gc is not None:
         return p.scale(1 / gc)
-    quo: dict[Exponent, Fraction] = {}
-    rem = p
-    ge, gcf = g.leading()
-    while not rem.is_zero():
-        re, rcf = rem.leading()
-        d = (re[0] - ge[0], re[1] - ge[1])
-        if d[0] < 0 or d[1] < 0:
-            raise ArithmeticError("inexact polynomial division")
-        c = rcf / gcf
-        quo[d] = quo.get(d, Fraction(0)) + c
-        rem = rem - g.shift(*d).scale(c)
-    return WeightPoly(quo)
+    if p.is_zero():
+        return p
+    ip, jp, rp = _row(p)
+    ig, jg, rg = _row(g)
+    quo, rem = _udivmod(rp, rg)
+    if rem or ip < ig or jp < jg:
+        raise ArithmeticError("inexact polynomial division")
+    return _from_row(ip - ig, jp - jg, quo)
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +365,7 @@ _ONE_POLY = WeightPoly.const(1)
 
 
 class EquivariantScalar:
-    """Canonical ratio of two weight polynomials.
+    """Canonical ratio of two binary forms; its degree is their difference.
 
     Invariants: the denominator is nonzero, ``gcd(num, den) = 1``, and the
     denominator has coprime integer coefficients with positive graded-lex
@@ -488,6 +413,9 @@ class EquivariantScalar:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
+    def degree(self) -> int:
+        return self.num.degree() - self.den.degree()
+
     def is_constant(self) -> Optional[Fraction]:
         """The constant value, or None when weight symbols survive."""
         nc = self.num.as_const()
@@ -502,11 +430,17 @@ class EquivariantScalar:
             return other
         if other.is_zero():
             return self
-        if self.den == other.den:
-            return EquivariantScalar(self.num + other.num, self.den)
-        return EquivariantScalar(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        try:
+            if self.den == other.den:
+                return EquivariantScalar(self.num + other.num, self.den)
+            return EquivariantScalar(
+                self.num * other.den + other.num * self.den, self.den * other.den
+            )
+        except Inhomogeneous:
+            raise Inhomogeneous(
+                f"cannot add scalars of degree {self.degree()} and {other.degree()}: "
+                f"{self} and {other}"
+            ) from None
 
     def __neg__(self) -> "EquivariantScalar":
         res = EquivariantScalar.__new__(EquivariantScalar)

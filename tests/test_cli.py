@@ -112,12 +112,47 @@ def test_graphs_output_golden(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (example, delta)
 
 
+def test_scalar_output_golden(capsys):
+    # sha256 of the full stdout: pins the per-locus str() of every scalar,
+    # the numeric evaluation and the printed DeltaPoly of each example
+    golden = {
+        ("localize", "--config", "fig7", "--eval", "5,2"):
+            "d6606679206596d805540b8f7cf85f53f38eaf9e1fd2c724f65eacfb6406f750",
+        ("localize", "--config", "fig10", "--eval", "5,2"):
+            "eaa60920381a6f78712edd0dc3f9269e7651a230ed757f17bca76a3920c3095d",
+        ("localize", "--config", "fig8-absolute", "--eval", "5,2"):
+            "a31cd085c5511827ecb86fef5b8482810fbe9871c20942ccf454734295777b66",
+        ("localize", "--config", "fig8-relative", "--eval", "5,2"):
+            "1894df3c30eafa451249aa510a935139e603ad56e05e7f10481eca82202d7514",
+        ("localize", "--config", "p4-absolute", "--eval", "5,2"):
+            "f12eff1c7d0790223342364cc2ecc4daa46a6f0fb8453e35371da9720aaf6366",
+        ("localize", "--config", "p4-relative-delta1", "--eval", "5,2"):
+            "4fab4bb6d571c2af41804cf2b719cd7aa06ec2ebff274812b06db15a1c334755",
+        ("localize", "--config", "p4-relative-delta1", "--json"):
+            "f2d92568beedae4d0189bce8d5282408122574c4aa7f30167b2ee10ea67303ef",
+        ("verify", "--example", "1", "--symbolic"):
+            "eb31acfb8fa8e8b2720940c442cfccc4f3faceec4f7fb1f3ba1ef9d5fc635c6e",
+        ("verify", "--example", "2", "--symbolic"):
+            "babc65f297e79159c01ad84407f14d7a2e4a1ba85c23c5eaa75ead3e4cfb183d",
+        ("verify", "--example", "3", "--symbolic"):
+            "dbe68f01515b57769a1c82df0f34fbf08aba755ee9435a21d2a3c72f5c1ed4df",
+    }
+    for argv, digest in golden.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_degree_below_one_is_a_usage_error(capsys):
     for argv in (
         ("graphs", "--example", "3", "--delta", "-2"),
         ("graphs", "--example", "2", "--delta", "0"),
         ("verify", "--example", "2", "--delta", "-1"),
         ("verify", "--example", "3", "--delta", "0"),
+        ("chern", "--space", "P4", "--hypersurface", "-3"),
+        ("chern", "--space", "P4", "--hypersurface", "0"),
+        ("gw10", "--X", "P4", "--V", "-2"),
+        ("gw10", "--X", "P4", "--V", "0", "--insertion", "alpha:1"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "at least 1" in err, argv
@@ -178,8 +213,9 @@ def test_corrupted_table_reports_error(capsys, tmp_path):
         _reset_data_caches()
 
 
-def _point_diagram(tmp_path, obstruction, deformation, expected=None):
-    """A one-locus user diagram over a point: its total is obstruction/deformation."""
+def _point_diagram(tmp_path, obstruction, deformation, expected=None, insertion="1"):
+    """A one-locus user diagram over a point: its total is
+    insertion*obstruction/deformation."""
     problem = {
         "schema_version": 1,
         "label": "user",
@@ -190,7 +226,7 @@ def _point_diagram(tmp_path, obstruction, deformation, expected=None):
             {
                 "label": "pt",
                 "base": [{"kind": "point"}],
-                "insertion": "1",
+                "insertion": insertion,
                 "obstruction": obstruction,
                 "deformation": deformation,
                 "source": "test locus",
@@ -207,6 +243,14 @@ def _point_diagram(tmp_path, obstruction, deformation, expected=None):
 def test_weight_dependent_total_is_a_failed_check(capsys, tmp_path):
     code, _, err = run(capsys, "localize", "--config", _point_diagram(tmp_path, "a1", "1"))
     assert code == 1 and "weight symbols survive" in err
+
+
+def test_inhomogeneous_diagram_is_an_input_error(capsys, tmp_path):
+    path = _point_diagram(tmp_path, "1", "a1", insertion="a1 + 1")
+    code, out, err = run(capsys, "localize", "--config", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "locus 'pt': bad insertion expression" in err
+    assert "'a1 + 1'" in err
 
 
 def test_expectation_mismatch_is_a_failed_check(capsys, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from gwverify.errors import (
     ExpectationMismatch,
+    Inhomogeneous,
     NonConstantSum,
     SchemaError,
 )
@@ -245,6 +246,45 @@ def test_vanishing_tags_in_shipped_files():
     assert sum(1 for s in fig10.loci if s.vanishes is not None) == 3
     with pytest.raises(ValueError):
         locus_contribution(locus(fig7, "split-genus-1-1"))
+
+
+def test_inhomogeneous_expression_is_schema_error():
+    with pytest.raises(SchemaError, match="locus 'only': bad insertion expression") as info:
+        parse_problem(
+            {
+                "label": "bad",
+                "loci": [
+                    {
+                        "label": "only",
+                        "base": [{"kind": "point"}],
+                        "insertion": "a1 + 1",
+                        "deformation": "a1",
+                    }
+                ],
+            },
+            "test",
+        )
+    assert isinstance(info.value.__cause__, Inhomogeneous)
+
+
+def test_inhomogeneous_integrand_names_the_locus():
+    # each field parses, but the product mixes a1 and 1 on x[0]*x[1]
+    problem = parse_problem(
+        {
+            "label": "bad",
+            "loci": [
+                {
+                    "label": "square",
+                    "base": [{"kind": "p1"}, {"kind": "p1"}],
+                    "insertion": "a1*x[0] + x[1]",
+                    "obstruction": "x[0] + x[1]",
+                }
+            ],
+        },
+        "test",
+    )
+    with pytest.raises(SchemaError, match="locus 'square'"):
+        problem_total(problem)
 
 
 def test_deformation_must_be_invertible():

@@ -88,14 +88,22 @@ def test_invert_unit_identity_random():
 def test_commutativity_random():
     rng = random.Random(9)
     base = M32P1
-    names = ["psi[0,1]", "psi[0,2]", "lam[0,1]", "lam[0,2]", "x[1]", "a1", "a2", "3"]
+    # (name, degree) with the weights of degree 1
+    names = [
+        ("psi[0,1]", 1), ("psi[0,2]", 1), ("lam[0,1]", 1), ("lam[0,2]", 2),
+        ("x[1]", 1), ("a1", 1), ("a2", 1), ("3", 0),
+    ]
 
     def rand_cls():
+        # all terms of one degree, so every coefficient is a homogeneous scalar
+        degree = rng.randint(1, 3)
         cls = TautClass(base)
         for _ in range(rng.randint(1, 4)):
-            term = TautClass.one(base)
-            for _ in range(rng.randint(1, 3)):
-                term = term * parse_class(rng.choice(names), base)
+            term, left = TautClass.one(base), degree
+            while left:
+                name, d = rng.choice([nd for nd in names if nd[1] <= left])
+                term = term * parse_class(name, base)
+                left -= d
             cls = cls + term.scale(Fraction(rng.randint(-2, 2)))
         return cls
 
@@ -107,8 +115,8 @@ def test_commutativity_random():
 def test_integrate_linear_over_scalars():
     a = parse_class("psi[0,1]^4", M21)
     b = parse_class("psi[0,1]^2*lam[0,2]", M21)
-    c = a.scale(A1) + b.scale(A2 ** 2)
-    assert tc_integrate(c) == A1.scale(Fraction(1, 1152)) + (A2 ** 2).scale(Fraction(7, 5760))
+    c = a.scale(A1 ** 2) + b.scale(A2 ** 2)
+    assert tc_integrate(c) == (A1 ** 2).scale(Fraction(1, 1152)) + (A2 ** 2).scale(Fraction(7, 5760))
 
 
 def test_hodge_twist_genus2():

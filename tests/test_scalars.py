@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from gwverify.errors import DenominatorVanishes, DivisionByZero
+from gwverify.errors import DenominatorVanishes, DivisionByZero, Inhomogeneous
+from gwverify.exprs import parse_scalar
 from gwverify.scalars import (
     ES_ONE,
     ES_ZERO,
@@ -33,8 +34,10 @@ def test_rat_roundtrip():
 
 
 def test_poly_str_graded_lex():
-    p = (WeightPoly.gen(1) ** 2).scale(3) - WeightPoly.gen(2) ** 3 + WeightPoly.const(1)
-    assert str(p) == "-a2^3 + 3*a1^2 + 1"
+    a1, a2 = WeightPoly.gen(1), WeightPoly.gen(2)
+    p = a2 ** 3 + (a1 ** 2 * a2).scale(3) - a1 ** 3
+    assert str(p) == "-a1^3 + 3*a1^2*a2 + a2^3"
+    assert str(WeightPoly.const(Fraction(-5, 27648))) == "-5/27648"
 
 
 def test_factor_cancellation():
@@ -84,30 +87,32 @@ def test_serialization_golden():
     assert str(v) == "(-1/165888*a2^6)/(a1^6 - a1^4*a2^2)"
 
 
-def _random_poly(rng, max_deg=3, nterms=4):
+def _random_form(rng, degree, nterms=4):
     t = {}
     for _ in range(rng.randint(1, nterms)):
-        e = (rng.randint(0, max_deg), rng.randint(0, max_deg))
-        t[e] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        k = rng.randint(0, degree)
+        t[(degree - k, k)] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
     return WeightPoly(t)
 
 
-def _random_scalar(rng):
-    num = _random_poly(rng)
+def _random_scalar(rng, degree):
+    """A random scalar of the given degree; num and den of random degrees."""
+    d = rng.randint(max(0, -degree), 2)
+    num = _random_form(rng, d + degree)
     den = WeightPoly.zero()
     while den.is_zero():
-        den = _random_poly(rng, max_deg=2, nterms=2)
+        den = _random_form(rng, d, nterms=2)
     return EquivariantScalar(num, den)
 
 
 def test_gcd_recovers_common_factor():
     rng = random.Random(7)
     for _ in range(60):
-        h = _random_poly(rng, max_deg=2, nterms=3)
+        h = _random_form(rng, rng.randint(0, 2), nterms=3)
         if h.is_zero():
             continue
-        p = _random_poly(rng) * h
-        q = _random_poly(rng) * h
+        p = _random_form(rng, rng.randint(0, 3)) * h
+        q = _random_form(rng, rng.randint(0, 3)) * h
         if p.is_zero() or q.is_zero():
             continue
         g = poly_gcd(p, q)
@@ -119,7 +124,8 @@ def test_gcd_recovers_common_factor():
 def test_field_axioms_random():
     rng = random.Random(11)
     for _ in range(40):
-        a, b, c = (_random_scalar(rng) for _ in range(3))
+        degree = rng.randint(-2, 2)
+        a, b, c = (_random_scalar(rng, degree) for _ in range(3))
         assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
@@ -133,7 +139,7 @@ def test_field_axioms_random():
 def test_canonicalization_idempotent():
     rng = random.Random(13)
     for _ in range(40):
-        a = _random_scalar(rng)
+        a = _random_scalar(rng, rng.randint(-2, 2))
         again = EquivariantScalar(a.num, a.den)
         assert again.num == a.num and again.den == a.den
 
@@ -142,7 +148,8 @@ def test_eval_commutes_with_arithmetic():
     rng = random.Random(17)
     pts = [(Fraction(3), Fraction(1)), (Fraction(2), Fraction(-5)), (Fraction(7, 2), Fraction(1, 3))]
     for _ in range(25):
-        a, b = _random_scalar(rng), _random_scalar(rng)
+        degree = rng.randint(-2, 2)
+        a, b = _random_scalar(rng, degree), _random_scalar(rng, degree)
         for w in pts:
             try:
                 va, vb = a.eval_at(w), b.eval_at(w)
@@ -150,6 +157,44 @@ def test_eval_commutes_with_arithmetic():
                 assert (a + b).eval_at(w) == va + vb
             except DenominatorVanishes:
                 pass
+
+
+def test_forms_are_homogeneous():
+    a1, a2 = WeightPoly.gen(1), WeightPoly.gen(2)
+    with pytest.raises(Inhomogeneous):
+        WeightPoly({(1, 0): 1, (0, 0): 3})
+    with pytest.raises(Inhomogeneous):
+        a1 * a2 - a1
+    # zero is a form of every degree, and products need no check
+    assert (a1 - a1) + a2 == a2
+    assert (a1 + a2) * (a1 - a2) == a1 ** 2 - a2 ** 2
+    assert (a1 ** 2 * a2).degree() == 3
+
+
+def test_scalar_sums_need_one_degree():
+    with pytest.raises(Inhomogeneous, match="degree 1 and 0"):
+        A1 + ES_ONE
+    with pytest.raises(Inhomogeneous, match="degree -1 and 0"):
+        es_arith(ES_ONE / A2, A1 / A2, "sub")
+    assert (A1 / A2 + ES_ONE).degree() == 0
+    # products and quotients mix degrees freely
+    assert (A1 * A1 / A2).degree() == 1
+    with pytest.raises(Inhomogeneous):
+        parse_scalar("a1 + 3")
+    assert parse_scalar("(a1 + 3*a2)/a1") == ES_ONE + A2.scale(3) / A1
+
+
+def test_gcd_splits_off_monomials():
+    a1, a2 = WeightPoly.gen(1), WeightPoly.gen(2)
+    f = a1 - a2.scale(2)
+    assert poly_gcd(a1 ** 3 * a2 * f, a1 * a2 ** 2 * (a1 + a2)) == a1 * a2
+    assert poly_gcd(a1 ** 2 * f * f, a2 * f) == f
+    assert poly_gcd(a2 ** 4, (a1 + a2) * a2 ** 2) == a2 ** 2
+    assert poly_divexact(a1 ** 3 * a2 * f, a1 * f) == a1 ** 2 * a2
+    with pytest.raises(ArithmeticError):
+        poly_divexact(a1 * f, a2)
+    with pytest.raises(ArithmeticError):
+        poly_divexact(a2 * f, a1 + a2)
 
 
 def test_swap_weights():
