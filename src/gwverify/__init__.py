@@ -24,8 +24,6 @@ from .hodge import (
     HodgeMonomial,
     RubberKey,
     hodge_intersect,
-    mumford_product_check,
-    relation_rewrite,
     rubber_intersect,
 )
 from .localization import (
@@ -46,17 +44,15 @@ from .ring import (
     RubberFactor,
     TautClass,
     hodge_twist,
+    mumford_product_check,
     tc_integrate,
     tc_invert,
-    tc_mul,
 )
 from .scalars import (
     EquivariantScalar,
     Rational,
     WeightPoly,
-    es_arith,
     es_eval,
-    es_is_constant,
     rat_from_str,
     rat_to_str,
 )
@@ -104,9 +100,7 @@ __all__ = [
     "degree_correction_genus3",
     "dilaton_reduce",
     "enumerate_graphs",
-    "es_arith",
     "es_eval",
-    "es_is_constant",
     "euler_char",
     "gw_genus1_deg0",
     "hodge_intersect",
@@ -124,14 +118,12 @@ __all__ = [
     "psi_intersect",
     "rat_from_str",
     "rat_to_str",
-    "relation_rewrite",
     "rubber_intersect",
     "run_selftest",
     "stability_sufficient",
     "string_reduce",
     "tc_integrate",
     "tc_invert",
-    "tc_mul",
     "thm1_verdict",
     "vanishing_filter",
     "vir_dim",

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 
 from .chern import degree_correction_genus3, euler_char, hypersurface, projective_space
 from .errors import (
@@ -35,15 +34,7 @@ from .psi import PsiKey, psi_intersect
 from .reports import VerificationReport
 from .scalars import rat_from_str, rat_to_str
 from .selftest import run_selftest
-from .sumformula import (
-    GraphConstraints,
-    GwSetting,
-    assemble_example,
-    enumerate_graphs,
-    thm1_verdict,
-    vanishing_filter,
-    vir_dim,
-)
+from .sumformula import GwSetting, assemble_example, example_graphs, thm1_verdict, vir_dim
 
 
 def _ints(text: str) -> list[int]:
@@ -146,7 +137,7 @@ def cmd_localize(args) -> int:
     except ExpectationMismatch as exc:
         report.add("total", str(exc), problem.source, expected=rat_to_str(expected))
     if args.eval:
-        weights = [Fraction(w) for w in args.eval.split(",")]
+        weights = [rat_from_str(w) for w in args.eval.split(",")]
         value = problem_symbolic_total(problem).eval_at(weights)
         report.add(f"evaluation at ({args.eval})", rat_to_str(value))
     print(report.to_json() if args.json else report.to_text())
@@ -154,24 +145,14 @@ def cmd_localize(args) -> int:
 
 
 def cmd_graphs(args) -> int:
-    if args.example == 2:
-        cons = GraphConstraints(genus_cap_v=2, v_components=args.delta)
-        g, k, n, kappa = 2, 2, 1, False
-    elif args.example == 3:
-        cons = GraphConstraints(genus_cap_v=3, v_components=1)
-        g, k, n, kappa = 3, 1, 4, True
-    else:
-        raise ParseError("graphs supports --example 2 or 3")
-    graphs = enumerate_graphs(g, args.delta, k, cons)
-    rows = [
-        (graph, vanishing_filter(graph, n, kappa, g_top=g)) for graph in graphs
-    ]
+    rows = example_graphs(args.example, args.delta)
+    total = len(rows)
     if args.surviving:
         rows = [(graph, keep) for graph, keep in rows if keep]
     for graph, keep in rows:
         flag = "contributes" if keep else "vanishes"
         print(f"{flag:11s}  {graph.describe()}")
-    print(f"{sum(1 for _, keep in rows if keep)} of {len(graphs)} graphs contribute")
+    print(f"{sum(1 for _, keep in rows if keep)} of {total} graphs contribute")
     return 0
 
 

@@ -12,8 +12,10 @@ of the top Hodge class squared):
   genus 2:  lambda_1^2 = 2 lambda_2,  lambda_2^2 = 0
   genus 3:  lambda_1^2 = 2 lambda_2,  lambda_2^2 = 2 lambda_1 lambda_3,
             lambda_3^2 = 0
-On rubber factors the same ideal is applied in the lambda_1-elimination
-direction, so residuals land on the keys the rubber table actually has.
+:func:`rewrite_lambda` is the only place they are written.  It normalises DM
+monomials, rubber queries and the rubber table's keys alike (a key's value
+is divided by the rewrite coefficient when the table is loaded), and
+``ring.mumford_product_check`` reduces the twisted product with it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     UnstableInput,
 )
 from .psi import PsiKey, psi_intersect
-from .scalars import EquivariantScalar, rat_from_str
+from .scalars import rat_from_str
 
 LamTuple = tuple[int, ...]
 LamTerm = tuple[Fraction, LamTuple]
@@ -127,46 +129,6 @@ def rewrite_lambda(g: int, lam: LamTuple) -> list[LamTerm]:
         return [(coeff, lam)]
 
 
-def rewrite_lambda_rubber(g: int, lam: LamTuple) -> list[LamTerm]:
-    """Rubber-side normal form: eliminate toward lambda_1 powers.
-
-    genus 2: lambda_2 -> lambda_1^2/2; genus 3 additionally
-    lambda_1 lambda_3 -> lambda_1^4/8 and lambda_3^2 -> 0.
-    """
-    if g > 3 or g < 0:
-        raise GenusOutOfRange(f"relations implemented for genus <= 3, got {g}")
-    coeff = Fraction(1)
-    lam = tuple(lam)
-    if g == 0:
-        return [(coeff, lam)]
-    if g == 1:
-        return [] if lam[0] >= 2 else [(coeff, lam)]
-    if g == 2:
-        e1, e2 = lam
-        if e2:
-            coeff *= Fraction(1, 2) ** e2
-            e1, e2 = e1 + 2 * e2, 0
-        return [(coeff, (e1, e2))]
-    e1, e2, e3 = lam
-    if e2:
-        coeff *= Fraction(1, 2) ** e2
-        e1, e2 = e1 + 2 * e2, 0
-    if e3 >= 2:
-        return []
-    if e3 == 1 and e1 >= 1:
-        coeff *= Fraction(1, 8)
-        e1, e3 = e1 + 3, 0
-    return [(coeff, (e1, e2, e3))]
-
-
-def relation_rewrite(m: HodgeMonomial) -> list[tuple[Fraction, HodgeMonomial]]:
-    """Rewrite the lambda-part of a monomial to normal form."""
-    return [
-        (c, HodgeMonomial(m.g, m.n, m.psi, lt))
-        for c, lt in rewrite_lambda(m.g, m.lam)
-    ]
-
-
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
@@ -187,7 +149,7 @@ def _load_tables() -> dict:
             psi = tuple(sorted((int(a) for a in entry["psi"]), reverse=True))
             lam = tuple(int(e) for e in entry["lambda"])
             value = rat_from_str(entry["value"])
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+        except (KeyError, ValueError) as exc:
             raise SchemaError(f"{loc}: {exc}") from exc
         if len(psi) != n or len(lam) != g:
             raise SchemaError(f"{loc}: exponent vectors do not match (g, n)")
@@ -195,6 +157,7 @@ def _load_tables() -> dict:
 
     rpayload, rwhere = load_json("tables", "rubber.json")
     rubber: dict[tuple, Fraction] = {}
+    origin: dict[tuple, int] = {}
     for i, entry in enumerate(rpayload.get("entries", [])):
         loc = f"{rwhere}: entries[{i}]"
         try:
@@ -203,9 +166,27 @@ def _load_tables() -> dict:
             psi = int(entry["psi"])
             lam = tuple(int(e) for e in entry["lambda"])
             value = rat_from_str(entry["value"])
-        except (KeyError, ValueError, ZeroDivisionError) as exc:
+            if len(lam) != g:
+                raise ValueError("lambda exponent vector does not match g")
+            normal = rewrite_lambda(g, lam)
+        except (KeyError, ValueError) as exc:
             raise SchemaError(f"{loc}: {exc}") from exc
-        rubber[(g, n, psi, lam)] = value
+        if not normal:
+            if value != 0:
+                raise SchemaError(
+                    f"{loc}: lambda={list(lam)} lies in the relation ideal "
+                    f"but has value {value}"
+                )
+            continue
+        [(coeff, lt)] = normal
+        key = (g, n, psi, lt)
+        if key in rubber and rubber[key] != value / coeff:
+            raise SchemaError(
+                f"{loc}: lambda={list(lam)} normalises to lambda={list(lt)}, "
+                f"where entries[{origin[key]}] gives a different value"
+            )
+        rubber[key] = value / coeff
+        origin.setdefault(key, i)
     _TABLES = {"dm": table, "rubber": rubber}
     return _TABLES
 
@@ -287,7 +268,7 @@ def rubber_intersect(key: RubberKey) -> Fraction:
     if key.g >= 1 and key.psi >= key.g:
         return Fraction(0)  # psi^g annihilates the genus-g rubber class
     total = Fraction(0)
-    for coeff, lt in rewrite_lambda_rubber(key.g, key.lam):
+    for coeff, lt in rewrite_lambda(key.g, key.lam):
         val = tables.get((key.g, key.n, key.psi, lt))
         if val is None:
             raise UnknownRubberKey(
@@ -296,60 +277,3 @@ def rubber_intersect(key: RubberKey) -> Fraction:
             )
         total += coeff * val
     return total
-
-
-# ---------------------------------------------------------------------------
-# Mumford product collapse
-# ---------------------------------------------------------------------------
-
-def _lam_poly_mul(
-    a: dict[LamTuple, EquivariantScalar], b: dict[LamTuple, EquivariantScalar]
-) -> dict[LamTuple, EquivariantScalar]:
-    out: dict[LamTuple, EquivariantScalar] = {}
-    for la, ca in a.items():
-        for lb, cb in b.items():
-            key = tuple(x + y for x, y in zip(la, lb))
-            c = ca * cb
-            if key in out:
-                c = out[key] + c
-            if c.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = c
-    return out
-
-
-def _twist_sides(g: int, w: EquivariantScalar):
-    """The two rank-g twist polynomials written lambda-leading, i.e.
-    (lam_g - w lam_{g-1} + ... +- w^g) and (lam_g + w lam_{g-1} + ... + w^g),
-    as lambda-polynomials over scalars."""
-    minus: dict[LamTuple, EquivariantScalar] = {}
-    plus: dict[LamTuple, EquivariantScalar] = {}
-    for i in range(g + 1):
-        lt = tuple(1 if j == i - 1 else 0 for j in range(g))
-        wp = w ** (g - i)
-        minus[lt] = wp.scale(Fraction(-1) ** (g - i))
-        plus[lt] = wp
-    return minus, plus
-
-
-def mumford_product_check(g: int, w: EquivariantScalar) -> bool:
-    """True iff the two rank-g twists multiply to (-1)^g w^(2g) after the
-    relations: + for the genus-2 collapse, - for the genus-3 one."""
-    if g not in (1, 2, 3):
-        raise GenusOutOfRange(f"mumford product check needs genus 1..3, got {g}")
-    minus, plus = _twist_sides(g, w)
-    product = _lam_poly_mul(minus, plus)
-    reduced: dict[LamTuple, EquivariantScalar] = {}
-    for lt, c in product.items():
-        for coeff, nf in rewrite_lambda(g, lt):
-            acc = c.scale(coeff)
-            if nf in reduced:
-                acc = reduced[nf] + acc
-            if acc.is_zero():
-                reduced.pop(nf, None)
-            else:
-                reduced[nf] = acc
-    expected = (w ** (2 * g)).scale(Fraction(-1) ** g)
-    zero = tuple(0 for _ in range(g))
-    return set(reduced) == {zero} and reduced[zero] == expected

@@ -20,6 +20,7 @@ the sum of the term contributions.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -98,24 +99,26 @@ def _term_contribution(term: LocusTerm) -> EquivariantScalar:
     return tc_integrate(integrand).scale(term.multiplicity)
 
 
-# contributions of the long-lived builtin specs are cached by identity
-_CONTRIB_CACHE: dict[int, tuple["FixedLocusSpec", EquivariantScalar]] = {}
+# contributions cached by the identity of their spec; an entry is dropped
+# when its spec is collected, so an id in the cache always names a live spec
+_CONTRIB_CACHE: dict[int, EquivariantScalar] = {}
 
 
 def locus_contribution(spec: FixedLocusSpec) -> EquivariantScalar:
     """The exact contribution of one non-vanishing fixed locus."""
     if spec.vanishes is not None:
         raise ValueError(f"locus {spec.label!r} is tagged vanishing: {spec.vanishes}")
-    hit = _CONTRIB_CACHE.get(id(spec))
-    if hit is not None and hit[0] is spec:
-        return hit[1]
+    cached = _CONTRIB_CACHE.get(id(spec))
+    if cached is not None:
+        return cached
     total = ES_ZERO
     try:
         for term in spec.terms:
             total = total + _term_contribution(term)
     except Inhomogeneous as exc:
         raise SchemaError(f"locus {spec.label!r}: {exc}") from exc
-    _CONTRIB_CACHE[id(spec)] = (spec, total)
+    _CONTRIB_CACHE[id(spec)] = total
+    weakref.finalize(spec, _CONTRIB_CACHE.pop, id(spec), None)
     return total
 
 
@@ -174,7 +177,7 @@ def _parse_term(raw: dict, where: str) -> LocusTerm:
     base = BaseSpace(tuple(_parse_factor(f, where) for f in factors))
     try:
         mult = rat_from_str(str(raw.get("multiplicity", "1")))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{where}: bad multiplicity ({exc})") from exc
     out = {}
     for name in ("insertion", "obstruction", "deformation"):
@@ -229,7 +232,7 @@ def parse_problem(payload: dict, where: str) -> LocalizationProblem:
     loci = tuple(_parse_locus(raw, where) for raw in raw_loci)
     try:
         mult = rat_from_str(str(payload.get("symmetry_multiplier", "1")))
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise SchemaError(f"{where}: bad symmetry_multiplier ({exc})") from exc
     expected = payload.get("expected")
     return LocalizationProblem(

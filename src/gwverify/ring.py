@@ -11,6 +11,8 @@ value, and degrees only grow under multiplication.
 Integration is factor-wise: Deligne-Mumford factors evaluate through the
 mixed psi/lambda oracle, rubber factors through the rubber table, and a
 projective-line factor contributes the coefficient of x.
+:func:`mumford_product_check` reduces a product of two :func:`hodge_twist`
+factors with the lambda relations, so it checks the twist the diagrams use.
 """
 
 from __future__ import annotations
@@ -19,8 +21,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import BaseMismatch, NonInvertible
-from .hodge import HodgeMonomial, RubberKey, hodge_intersect, rubber_intersect
+from .errors import BaseMismatch, GenusOutOfRange, NonInvertible
+from .hodge import (
+    HodgeMonomial,
+    RubberKey,
+    hodge_intersect,
+    rewrite_lambda,
+    rubber_intersect,
+)
 from .scalars import ES_ONE, ES_ZERO, EquivariantScalar, Rational
 
 Mono = tuple[tuple[int, ...], ...]
@@ -310,10 +318,6 @@ def _mono_str(base: BaseSpace, m: Mono) -> str:
 # ring operations
 # ---------------------------------------------------------------------------
 
-def tc_mul(a: TautClass, b: TautClass) -> TautClass:
-    return a * b
-
-
 def tc_invert(a: TautClass) -> TautClass:
     """Geometric-series inverse, truncated at the base dimension."""
     a0 = a.scalar_part()
@@ -386,6 +390,26 @@ def hodge_twist(
             term = term + piece
         out = out * term
     return out
+
+
+def mumford_product_check(g: int, w: EquivariantScalar) -> bool:
+    """True iff hodge_twist(w, -w) on a genus-g factor reduces to (-1)^g w^(2g)
+    under the lambda relations: Mumford's c(E)c(E*) = 1, twisted by w.
+
+    The factor is DM(g, max(0, 3 - g)), of dimension at least 2g, so the
+    ring truncates no term of the product.
+    """
+    if g not in (1, 2, 3):
+        raise GenusOutOfRange(f"mumford product check needs genus 1..3, got {g}")
+    f = DMFactor(g, max(0, 3 - g))
+    base = BaseSpace((f,))
+    reduced: dict[tuple[int, ...], EquivariantScalar] = {}
+    for (e,), c in hodge_twist(base, 0, [w, -w]).terms.items():
+        for coeff, lt in rewrite_lambda(g, e[f.n :]):
+            key = e[: f.n] + lt
+            reduced[key] = reduced.get(key, ES_ZERO) + c.scale(coeff)
+    reduced = {key: c for key, c in reduced.items() if not c.is_zero()}
+    return reduced == {base.zero_mono()[0]: (w ** (2 * g)).scale((-1) ** g)}
 
 
 def hodge_twist_by_genus(

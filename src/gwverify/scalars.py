@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from typing import Iterable, Mapping, Optional
 
-from .errors import DenominatorVanishes, DivisionByZero, Inhomogeneous
+from .errors import DenominatorVanishes, DivisionByZero, Inhomogeneous, ParseError
 
 Rational = Fraction
 
@@ -35,7 +35,11 @@ def rat_to_str(r: Rational) -> str:
 
 
 def rat_from_str(s: str) -> Rational:
-    return Fraction(s.strip())
+    """Parse ``p/q`` or ``p``; a zero denominator is a :class:`ParseError`."""
+    try:
+        return Fraction(s.strip())
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {s.strip()!r}") from None
 
 
 def _mono_key(e: Exponent) -> tuple[int, int]:
@@ -402,10 +406,6 @@ class EquivariantScalar:
         return cls(WeightPoly.const(Fraction(c)))
 
     @classmethod
-    def from_poly(cls, p: WeightPoly) -> "EquivariantScalar":
-        return cls(p)
-
-    @classmethod
     def weight(cls, i: int) -> "EquivariantScalar":
         return cls(WeightPoly.gen(i))
 
@@ -522,23 +522,6 @@ ES_ONE = EquivariantScalar.from_rational(1)
 
 
 # Spec-facing helpers -------------------------------------------------------
-
-def es_arith(a: EquivariantScalar, b: EquivariantScalar, op: str) -> EquivariantScalar:
-    """Exact field arithmetic; op is one of add/sub/mul/div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
-def es_is_constant(a: EquivariantScalar) -> Optional[Fraction]:
-    return a.is_constant()
-
 
 def es_eval(a: EquivariantScalar, weights: Iterable[Rational]) -> Fraction:
     return a.eval_at(weights)

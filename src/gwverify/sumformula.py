@@ -108,6 +108,12 @@ class GwSetting:
     kappa_trivial: bool
 
     def __post_init__(self):
+        if self.g < 0:
+            raise ValueError(f"genus must be nonnegative, got {self.g}")
+        if self.n < 1:
+            raise ValueError(f"dimension n must be at least 1, got {self.n}")
+        if self.k < 0:
+            raise ValueError(f"marked point count must be nonnegative, got {self.k}")
         if self.AdotV < 0:
             raise ValueError("A.V must be nonnegative")
 
@@ -193,8 +199,9 @@ def thm1_verdict(setting: GwSetting) -> Verdict:
 
 @dataclass(frozen=True)
 class GraphConstraints:
-    x_side_degree_one: bool = True
-    marked_points_on_x: bool = True
+    """Enumeration regime: the X-vertex has degree one and carries every
+    marked point; V-vertices have genus at most the cap."""
+
     genus_cap_v: int = 3
     v_components: int = 1
 
@@ -242,8 +249,6 @@ def enumerate_graphs(
             f"graph enumeration bounded by g <= {MAX_GRAPH_GENUS}, "
             f"A.V <= {MAX_GRAPH_WEIGHT}"
         )
-    if not constraints.x_side_degree_one or not constraints.marked_points_on_x:
-        raise ValueError("only the degree-1, marks-on-X regime is enumerated")
     if AdotV == 0:
         # the two one-vertex graphs: everything on one side or the other
         out = [
@@ -323,6 +328,25 @@ def vanishing_filter(
     return True
 
 
+def example_graphs(example_id: int, delta: int) -> list[tuple[BipartiteGraph, bool]]:
+    """The degeneration graphs of worked example 2 (genus 2, two marks,
+    delta divisor points, kappa nontrivial, n = 1) or 3 (genus 3, one mark,
+    a connected divisor of degree delta, kappa trivial, n = 4), each paired
+    with whether it survives the vanishing filter."""
+    if example_id == 2:
+        g, k, n, kappa_trivial = 2, 2, 1, False
+        constraints = GraphConstraints(genus_cap_v=2, v_components=delta)
+    elif example_id == 3:
+        g, k, n, kappa_trivial = 3, 1, 4, True
+        constraints = GraphConstraints(genus_cap_v=3, v_components=1)
+    else:
+        raise ValueError(f"degeneration graphs exist for examples 2 and 3, not {example_id}")
+    return [
+        (graph, vanishing_filter(graph, n, kappa_trivial, g_top=g))
+        for graph in enumerate_graphs(g, delta, k, constraints)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # the three worked examples
 # ---------------------------------------------------------------------------
@@ -378,11 +402,8 @@ def assemble_example_1(n: int, delta, alpha_mult=1) -> VerificationReport:
     return report
 
 
-def _graph_items(report, g, delta, k, constraints, n, kappa_trivial, expected_count):
-    all_graphs = enumerate_graphs(g, delta, k, constraints)
-    surviving = [
-        gr for gr in all_graphs if vanishing_filter(gr, n, kappa_trivial, g_top=g)
-    ]
+def _graph_items(report, example_id, delta, expected_count):
+    surviving = [graph for graph, keep in example_graphs(example_id, delta) if keep]
     report.add(
         "surviving degeneration graphs",
         str(len(surviving)),
@@ -391,7 +412,6 @@ def _graph_items(report, g, delta, k, constraints, n, kappa_trivial, expected_co
     )
     for i, graph in enumerate(surviving, start=1):
         report.add(f"graph {i}", graph.describe(), "contributing configuration")
-    return surviving
 
 
 def assemble_example_2(delta) -> VerificationReport:
@@ -401,16 +421,7 @@ def assemble_example_2(delta) -> VerificationReport:
     d = DeltaPoly.delta() if symbolic else int(delta)
     report = VerificationReport(command=f"verify example 2 (delta={delta})")
     if not symbolic:
-        _graph_items(
-            report,
-            g=2,
-            delta=int(delta),
-            k=2,
-            constraints=GraphConstraints(genus_cap_v=2, v_components=int(delta)),
-            n=1,
-            kappa_trivial=False,
-            expected_count=1 + int(delta),
-        )
+        _graph_items(report, 2, int(delta), expected_count=1 + int(delta))
     vertex_factor = problem_total(builtin_problem("fig7"))
     report.add(
         "top-genus vertex invariant",
@@ -465,16 +476,7 @@ def assemble_example_3(delta) -> VerificationReport:
     d = DeltaPoly.delta() if symbolic else int(delta)
     report = VerificationReport(command=f"verify example 3 (delta={delta})")
     if not symbolic:
-        _graph_items(
-            report,
-            g=3,
-            delta=int(delta),
-            k=1,
-            constraints=GraphConstraints(genus_cap_v=3, v_components=1),
-            n=4,
-            kappa_trivial=True,
-            expected_count=2,
-        )
+        _graph_items(report, 3, int(delta), expected_count=2)
     pushforward = problem_total(builtin_problem("fig10"))
     report.add("top-genus push-forward degree", rat_to_str(pushforward), "(4.31)", expected="4")
     V = hypersurface(4, d)

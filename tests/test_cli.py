@@ -158,6 +158,29 @@ def test_degree_below_one_is_a_usage_error(capsys):
         assert code == 2 and out == "" and "at least 1" in err, argv
 
 
+def test_zero_denominator_is_a_usage_error(capsys):
+    for argv in (
+        ("gw10", "--X", "P4", "--insertion", "alpha:1/0"),
+        ("localize", "--config", "fig7", "--expect", "1/0"),
+        ("localize", "--config", "fig7", "--eval", "1/0,1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and "zero denominator in '1/0'" in err, argv
+
+
+def test_invalid_setting_is_a_usage_error(capsys):
+    for argv, message in (
+        (("thm1", "--n", "0", "--g", "-1"), "genus"),
+        (("thm1", "--n", "4", "--g", "-1"), "genus"),
+        (("thm1", "--n", "0", "--g", "2"), "dimension"),
+        (("dim", "--n", "4", "--g", "-1", "--c1A", "2"), "genus"),
+        (("dim", "--n", "0", "--g", "1", "--c1A", "2"), "dimension"),
+        (("dim", "--n", "4", "--g", "1", "--k", "-1", "--c1A", "2"), "marked point"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: ") and message in err, argv
+
+
 def test_usage_errors(capsys):
     code, _, _ = run(capsys, "psi", "--g", "notanumber", "--exponents", "1")
     assert code == 2

@@ -1,19 +1,22 @@
+import json
 import random
+import shutil
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from gwverify.errors import GenusOutOfRange, UnknownMonomial, UnknownRubberKey
+from gwverify import hodge, ring
+from gwverify.errors import GenusOutOfRange, SchemaError, UnknownMonomial, UnknownRubberKey
 from gwverify.hodge import (
     HodgeMonomial,
     RubberKey,
     hodge_intersect,
-    mumford_product_check,
-    relation_rewrite,
     rewrite_lambda,
     rubber_intersect,
 )
 from gwverify.psi import PsiKey, psi_intersect
+from gwverify.ring import TautClass, mumford_product_check
 from gwverify.scalars import EquivariantScalar
 
 A1 = EquivariantScalar.weight(1)
@@ -88,8 +91,8 @@ def test_rewrite_confluence_random():
 
 
 def test_relation_rewrite_monomial():
-    [(c, m)] = relation_rewrite(H(3, [1], [6, 0, 0]))
-    assert c == 16 and m.lam == (1, 1, 1)
+    [(c, lam)] = rewrite_lambda(3, H(3, [1], [6, 0, 0]).lam)
+    assert c == 16 and lam == (1, 1, 1)
 
 
 # -- table-backed values -------------------------------------------------------
@@ -177,6 +180,24 @@ def test_mumford_products():
     assert mumford_product_check(3, A1)
 
 
+def test_mumford_check_runs_the_ring_twist(monkeypatch):
+    # a twist that leaves out lambda_g no longer collapses to +-w^(2g)
+    real_twist = ring.hodge_twist
+
+    def twist_without_top(base, factor, weights):
+        out = TautClass.one(base)
+        for w in weights:
+            side = real_twist(base, factor, [w])
+            side.terms = {m: c for m, c in side.terms.items() if m[factor][-1] == 0}
+            out = out * side
+        return out
+
+    w = A1 - A2
+    monkeypatch.setattr(ring, "hodge_twist", twist_without_top)
+    assert not mumford_product_check(2, w)
+    assert not mumford_product_check(3, w)
+
+
 # -- rubber oracle ---------------------------------------------------------------
 
 def test_rubber_values():
@@ -223,3 +244,58 @@ def test_rubber_unknown_key():
         rubber_intersect(RubberKey(0, 1, (), n=2))
     # normalization routes an off-table monomial into the table
     assert rubber_intersect(RubberKey(3, 1, (1, 0, 1))) == Fraction(1, 8) * Fraction(1, 8640)
+
+
+def _rubber_copy(tmp_path, monkeypatch, *extra):
+    """A data root whose rubber table has the given entries appended."""
+    data = tmp_path / "data"
+    shutil.copytree(Path(hodge.__file__).parent / "data", data)
+    rubber = data / "tables" / "rubber.json"
+    payload = json.loads(rubber.read_text())
+    payload["entries"].extend(extra)
+    rubber.write_text(json.dumps(payload))
+    monkeypatch.setenv("GWVERIFY_DATA_DIR", str(data))
+    hodge.reset_tables()
+    return len(payload["entries"]) - len(extra)
+
+
+@pytest.fixture
+def restore_tables():
+    yield
+    hodge.reset_tables()
+
+
+def test_rubber_keys_are_normalised_on_load(tmp_path, monkeypatch, restore_tables):
+    # lambda_1 lambda_2 = lambda_1^3 / 2, and lambda_2^2 = 0 on the genus-2 rubber
+    _rubber_copy(
+        tmp_path,
+        monkeypatch,
+        {"g": 2, "n": 0, "psi": 0, "lambda": [1, 1], "value": "1/2880"},
+        {"g": 2, "n": 0, "psi": 0, "lambda": [0, 2], "value": "0"},
+    )
+    table = hodge._load_tables()["rubber"]
+    # the shipped lambda_1^3 entry 1/1440 is stored on its normal form
+    assert table[(2, 0, 0, (1, 1))] == Fraction(1, 2880)
+    assert (2, 0, 0, (3, 0)) not in table and (2, 0, 0, (0, 2)) not in table
+    assert rubber_intersect(RubberKey(2, 0, (3, 0))) == Fraction(1, 1440)
+
+
+def test_rubber_entry_in_the_relation_ideal_is_a_schema_error(
+    tmp_path, monkeypatch, restore_tables
+):
+    first = _rubber_copy(
+        tmp_path, monkeypatch, {"g": 2, "n": 0, "psi": 0, "lambda": [0, 2], "value": "1/5"}
+    )
+    with pytest.raises(SchemaError, match=rf"rubber\.json: entries\[{first}\]: .*relation ideal"):
+        rubber_intersect(RubberKey(2, 0, (3, 0)))
+
+
+def test_rubber_entries_that_disagree_are_a_schema_error(
+    tmp_path, monkeypatch, restore_tables
+):
+    # lambda_1 lambda_2 normalises onto the lambda_1^3 entry, at half its value
+    first = _rubber_copy(
+        tmp_path, monkeypatch, {"g": 2, "n": 0, "psi": 0, "lambda": [1, 1], "value": "1/1440"}
+    )
+    with pytest.raises(SchemaError, match=rf"rubber\.json: entries\[{first}\]: .*entries\[9\]"):
+        rubber_intersect(RubberKey(2, 0, (3, 0)))

@@ -1,6 +1,9 @@
+import gc
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
 from gwverify.errors import (
@@ -9,6 +12,7 @@ from gwverify.errors import (
     NonConstantSum,
     SchemaError,
 )
+from gwverify import localization
 from gwverify.exprs import parse_scalar
 from gwverify.localization import (
     builtin_names,
@@ -303,3 +307,20 @@ def test_deformation_must_be_invertible():
             },
             "test",
         )
+
+
+def test_contribution_cache_drops_collected_specs():
+    path = Path(localization.__file__).parent / "data" / "diagrams" / "fig11_relative.json"
+    gc.collect()
+    before = len(localization._CONTRIB_CACHE)
+    kept = load_problem(path)
+    problem_total(kept)
+    alive = len(localization._CONTRIB_CACHE)
+    assert alive > before
+    for _ in range(10):
+        problem_total(load_problem(path))
+    gc.collect()
+    assert len(localization._CONTRIB_CACHE) == alive
+    del kept
+    gc.collect()
+    assert len(localization._CONTRIB_CACHE) == before

@@ -14,6 +14,7 @@ from gwverify.sumformula import (
     GwSetting,
     assemble_example,
     enumerate_graphs,
+    example_graphs,
     hollow_sufficient,
     p4_line_candidates,
     stability_sufficient,
@@ -139,6 +140,15 @@ def test_example3_graph_counts():
         # the two survivors: all-basic with X-genus 3, and one genus-3 vertex
         genera = sorted(max((v.genus for v in g.v_vertices), default=0) for g in surviving)
         assert genera == [0, 3]
+
+
+def test_example_graphs_flag_the_survivors():
+    for example, delta, total, surviving in ((2, 3, 10, 4), (3, 5, 147, 2)):
+        rows = example_graphs(example, delta)
+        assert len(rows) == total
+        assert sum(keep for _, keep in rows) == surviving
+    with pytest.raises(ValueError):
+        example_graphs(1, 3)
 
 
 def test_example3_graph_totals():
