@@ -11,7 +11,6 @@ Everything is exact; no floating point exists anywhere in the package.
 
 from .chern import (
     ChernData,
-    DeltaPoly,
     degree_correction_genus3,
     euler_char,
     gw_genus1_deg0,
@@ -49,6 +48,7 @@ from .ring import (
     tc_invert,
 )
 from .scalars import (
+    DeltaPoly,
     EquivariantScalar,
     Rational,
     WeightPoly,
@@ -59,7 +59,6 @@ from .scalars import (
 from .selftest import run_selftest
 from .sumformula import (
     BipartiteGraph,
-    GraphConstraints,
     GwSetting,
     Verdict,
     assemble_example,
@@ -81,7 +80,6 @@ __all__ = [
     "DeltaPoly",
     "EquivariantScalar",
     "FixedLocusSpec",
-    "GraphConstraints",
     "GwSetting",
     "HodgeMonomial",
     "LocalizationProblem",

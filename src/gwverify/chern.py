@@ -2,9 +2,9 @@
 characteristics, log-tangent pairings, the genus-1 degree-0 invariants, and
 the genus-3 Hodge-bundle contraction used for the degree-correction term.
 
-The hypersurface degree may be symbolic: :class:`DeltaPoly` is a univariate
-polynomial in the degree symbol with exact rational coefficients, so the
-identity checks run as polynomial identities rather than per-degree samples.
+The hypersurface degree may be symbolic: a :class:`DeltaPoly` (from
+``scalars``) in the degree symbol, so the identity checks run as polynomial
+identities rather than per-degree samples.
 """
 
 from __future__ import annotations
@@ -16,107 +16,9 @@ from typing import Optional, Sequence, Union
 
 from .errors import InclusionUndeclared, InternalMismatch
 from .hodge import HodgeMonomial, hodge_intersect
-from .scalars import _uadd, _umul, _uneg
+from .scalars import DeltaPoly
 
-Coeff = Union[Fraction, "DeltaPoly"]
-
-
-class DeltaPoly:
-    """Exact polynomial in the hypersurface-degree symbol."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Sequence[Fraction | int]):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @classmethod
-    def delta(cls) -> "DeltaPoly":
-        return cls([0, 1])
-
-    @classmethod
-    def const(cls, c) -> "DeltaPoly":
-        return cls([c])
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def as_const(self) -> Optional[Fraction]:
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) == 1:
-            return self.coeffs[0]
-        return None
-
-    def __call__(self, value) -> Fraction:
-        out = Fraction(0)
-        v = Fraction(value)
-        for c in reversed(self.coeffs):
-            out = out * v + c
-        return out
-
-    @staticmethod
-    def _lift(other) -> "DeltaPoly":
-        if isinstance(other, DeltaPoly):
-            return other
-        return DeltaPoly([Fraction(other)])
-
-    def __add__(self, other):
-        return DeltaPoly(_uadd(self.coeffs, self._lift(other).coeffs))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return DeltaPoly(_uneg(self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        return DeltaPoly(_umul(self.coeffs, self._lift(other).coeffs))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, DeltaPoly):
-            c = other.as_const()
-            if c is None:
-                raise ValueError("division only by constants")
-            other = c
-        return self * Fraction(1, 1) * Fraction(other) ** -1
-
-    def __pow__(self, n: int):
-        out = DeltaPoly([1])
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def __eq__(self, other) -> bool:
-        return self.coeffs == self._lift(other).coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mono = "delta" if i == 1 else f"delta^{i}"
-                parts.append(mono if c == 1 else f"{c}*{mono}")
-        return " + ".join(parts).replace("+ -", "- ")
-
-    __repr__ = __str__
+Coeff = Union[Fraction, DeltaPoly]
 
 
 def _ser_mul(a: list, b: list, n: int) -> list:

@@ -14,6 +14,7 @@ import sys
 
 from .chern import degree_correction_genus3, euler_char, hypersurface, projective_space
 from .errors import (
+    DenominatorVanishes,
     ExpectationMismatch,
     GwError,
     NonConstantSum,
@@ -26,7 +27,7 @@ from .hodge import HodgeMonomial, hodge_intersect
 from .localization import (
     builtin_names,
     locus_contribution,
-    problem_symbolic_total,
+    problem_numeric_total,
     problem_total,
     resolve_problem,
 )
@@ -138,7 +139,7 @@ def cmd_localize(args) -> int:
         report.add("total", str(exc), problem.source, expected=rat_to_str(expected))
     if args.eval:
         weights = [rat_from_str(w) for w in args.eval.split(",")]
-        value = problem_symbolic_total(problem).eval_at(weights)
+        value = problem_numeric_total(problem, weights)
         report.add(f"evaluation at ({args.eval})", rat_to_str(value))
     print(report.to_json() if args.json else report.to_text())
     return 0 if report.status == "PASS" else 1
@@ -295,7 +296,14 @@ def main(argv=None) -> int:
         # both subclass ValueError, but they are failed checks, not usage errors
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (ParseError, SchemaError, UnknownMonomial, UnknownRubberKey, ValueError) as exc:
+    except (
+        DenominatorVanishes,  # only --eval substitutes weights, and the user gives them
+        ParseError,
+        SchemaError,
+        UnknownMonomial,
+        UnknownRubberKey,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GwError as exc:

@@ -29,6 +29,7 @@ from typing import Optional
 from ._data import load_json
 from .errors import (
     BaseMismatch,
+    DenominatorVanishes,
     ExpectationMismatch,
     Inhomogeneous,
     NonConstantSum,
@@ -148,6 +149,30 @@ def problem_symbolic_total(problem: LocalizationProblem) -> EquivariantScalar:
     if problem.weight_swap:
         total = total + total.swap_weights()
     return total
+
+
+def problem_numeric_total(problem: LocalizationProblem, weights) -> Fraction:
+    """The total at numeric weights ``(w1, w2)``, summed locus by locus.
+
+    Each contribution is evaluated at the weights, and at the swapped
+    weights too when the problem declares a weight swap, so the sum checks
+    weight independence without the symbolic cancellation.  A contribution
+    with a pole at the weights raises :class:`DenominatorVanishes` naming
+    its locus.
+    """
+    w1, w2 = (Fraction(w) for w in weights)
+    points = [(w1, w2), (w2, w1)] if problem.weight_swap else [(w1, w2)]
+    total = Fraction(0)
+    for spec in sorted(problem.loci, key=lambda s: s.label):
+        if spec.vanishes is not None:
+            continue
+        contribution = locus_contribution(spec)
+        for point in points:
+            try:
+                total += contribution.eval_at(point)
+            except DenominatorVanishes as exc:
+                raise DenominatorVanishes(f"locus {spec.label!r}: {exc}") from None
+    return total * problem.symmetry_multiplier
 
 
 # ---------------------------------------------------------------------------

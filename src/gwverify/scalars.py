@@ -1,31 +1,38 @@
 """Exact scalar tower: rationals, binary forms in the two torus weights a1,
-a2, and canonical ratios of such forms.
+a2, canonical ratios of such forms, and polynomials in the divisor degree.
 
 Every number in the package is built from these types; no floating point is
-used anywhere.  A :class:`WeightPoly` is a binary form: a sparse homogeneous
-polynomial with ``Fraction`` coefficients keyed on exponent pairs
-``(e1, e2)`` of one total degree.  Building an inhomogeneous one (``a1 + 1``)
-raises :class:`Inhomogeneous`; a product of forms is a form.  A form of
-degree d is ``a1^d f(a2/a1)``, so gcds and exact divisions run on the
-coefficient row of ``f`` in the one variable ``t = a2/a1`` once the powers
-of ``a1`` and ``a2`` are split off.  An :class:`EquivariantScalar` is a
-reduced fraction ``num/den`` of two forms, normalized so that
-``gcd(num, den) = 1``, the denominator has coprime integer coefficients,
-and its graded-lex leading coefficient is positive.  Canonical form makes
-equality syntactic.
+used anywhere.  Every polynomial here is stored as a *row*: a tuple of
+``Fraction`` coefficients, lowest power first, with no trailing zero.
+
+A :class:`WeightPoly` is a binary form of degree d, that is ``a1^d f(t)``
+with ``t = a2/a1``; it is stored as d and the row of f, so ``row[k]`` is the
+coefficient of ``a1^(d-k) a2^k``.  Building an inhomogeneous one
+(``a1 + 1``) raises :class:`Inhomogeneous`; a product of forms is a form.
+Gcds and exact divisions run on the rows once the powers of ``a1`` and
+``a2`` are split off.  An :class:`EquivariantScalar` is a reduced fraction
+``num/den`` of two forms, normalized so that ``gcd(num, den) = 1``, the
+denominator has coprime integer coefficients, and its graded-lex (a1 > a2)
+leading coefficient, the one at the lowest power of t, is positive.
+Canonical form makes equality syntactic.  A :class:`DeltaPoly` is a
+polynomial in the divisor-degree symbol on the same rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DenominatorVanishes, DivisionByZero, Inhomogeneous, ParseError
 
 Rational = Fraction
 
 Exponent = tuple[int, int]
+Row = tuple[Fraction, ...]
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def rat_to_str(r: Rational) -> str:
@@ -42,53 +49,42 @@ def rat_from_str(s: str) -> Rational:
         raise ParseError(f"zero denominator in {s.strip()!r}") from None
 
 
-def _mono_key(e: Exponent) -> tuple[int, int]:
-    # graded-lex order with a1 > a2
-    return (e[0] + e[1], e[0])
-
-
 # ---------------------------------------------------------------------------
-# univariate helpers over Fraction (dense lists, lowest degree first): the rows
-# of forms in t = a2/a1 here, and the coefficients of chern.DeltaPoly
+# rows: univariate polynomials over Fraction, lowest power first, trimmed
 # ---------------------------------------------------------------------------
 
-def _utrim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+def _trim(row: Sequence[Fraction]) -> Row:
+    n = len(row)
+    while n and not row[n - 1]:
+        n -= 1
+    return tuple(row[:n])
 
 
-def _uadd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    n = max(len(p), len(q))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(p):
-        out[i] += c
+def _radd(p: Row, q: Row) -> Row:
+    if len(p) < len(q):
+        p, q = q, p
+    out = list(p)
     for i, c in enumerate(q):
         out[i] += c
-    return _utrim(out)
+    return _trim(out)
 
 
-def _uneg(p: list[Fraction]) -> list[Fraction]:
-    return [-c for c in p]
-
-
-def _umul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+def _rmul(p: Row, q: Row) -> Row:
     if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
+        return ()
+    out = [_ZERO] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return _utrim(out)
+        if a:
+            for j, b in enumerate(q):
+                out[i + j] += a * b
+    return tuple(out)  # the top coefficient is p[-1] * q[-1], never 0
 
 
-def _udivmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
+def _rdivmod(p: Row, q: Row) -> tuple[Row, Row]:
     if not q:
         raise DivisionByZero("univariate division by zero polynomial")
     rem = list(p)
-    quo = [Fraction(0)] * max(len(p) - len(q) + 1, 0)
+    quo = [_ZERO] * max(len(p) - len(q) + 1, 0)
     inv = 1 / q[-1]
     while len(rem) >= len(q):
         c = rem[-1] * inv
@@ -96,16 +92,38 @@ def _udivmod(p: list[Fraction], q: list[Fraction]) -> tuple[list[Fraction], list
         quo[d] = c
         for i, b in enumerate(q):
             rem[i + d] -= c * b
-        _utrim(rem)
-    return _utrim(quo), rem
+        while rem and not rem[-1]:
+            rem.pop()
+    return _trim(quo), tuple(rem)
 
 
-def _ugcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
+def _rgcd(p: Row, q: Row) -> Row:
     """A gcd of two nonzero rows, up to a rational factor."""
-    a, b = list(p), list(q)
-    while b:
-        a, b = b, _udivmod(a, b)[1]
-    return a
+    while q:
+        p, q = q, _rdivmod(p, q)[1]
+    return p
+
+
+def _format(monomials: Iterable[tuple[Exponent, Fraction]]) -> str:
+    """``(exponent, coefficient)`` pairs, in graded-lex order, as text."""
+    parts: list[str] = []
+    for e, c in monomials:
+        mono = "*".join(
+            (f"{name}^{k}" if k > 1 else name)
+            for name, k in (("a1", e[0]), ("a2", e[1]))
+            if k > 0
+        )
+        if not mono:
+            body = rat_to_str(abs(c))
+        elif abs(c) == 1:
+            body = mono
+        else:
+            body = f"{rat_to_str(abs(c))}*{mono}"
+        parts.append(f"{'-' if c < 0 else '+'} {body}")
+    if not parts:
+        return "0"
+    out = " ".join(parts)
+    return out[2:] if out.startswith("+ ") else out[0] + out[2:]
 
 
 # ---------------------------------------------------------------------------
@@ -113,114 +131,89 @@ def _ugcd(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 class WeightPoly:
-    """Binary form: a sparse homogeneous polynomial in the weights a1, a2.
+    """Binary form in the weights a1, a2: its degree ``d`` and the row of
+    ``f(t)``, where the form is ``a1^d f(a2/a1)``.
 
-    Zero coefficients are never stored; instances are treated as immutable.
-    The zero polynomial is a form of every degree.
+    Instances are treated as immutable.  The zero polynomial is a form of
+    every degree; it is stored with ``d = 0`` and the empty row.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("d", "row")
 
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
+        """A form from its coefficients keyed on exponent pairs ``(e1, e2)``."""
         clean: dict[Exponent, Fraction] = {}
-        if terms:
-            for e, c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    if e[0] < 0 or e[1] < 0:
-                        raise ValueError(f"negative exponent {e}")
-                    clean[(int(e[0]), int(e[1]))] = c
-        self.terms = clean
-        if len(clean) > 1 and len({e1 + e2 for e1, e2 in clean}) > 1:
-            raise Inhomogeneous(f"{self} is not homogeneous in a1, a2")
+        for e, c in (terms or {}).items():
+            c = Fraction(c)
+            if c:
+                if e[0] < 0 or e[1] < 0:
+                    raise ValueError(f"negative exponent {e}")
+                clean[(int(e[0]), int(e[1]))] = c
+        degrees = {e1 + e2 for e1, e2 in clean}
+        if len(degrees) > 1:
+            order = sorted(clean.items(), key=lambda ec: (sum(ec[0]), ec[0][0]), reverse=True)
+            raise Inhomogeneous(f"{_format(order)} is not homogeneous in a1, a2")
+        row = [_ZERO] * (max((e2 for _, e2 in clean), default=-1) + 1)
+        for (_, e2), c in clean.items():
+            row[e2] = c
+        self.d = degrees.pop() if degrees else 0
+        self.row = tuple(row)
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls) -> "WeightPoly":
-        return cls()
+        return _form(0, ())
 
     @classmethod
     def const(cls, c: Rational | int) -> "WeightPoly":
-        return cls({(0, 0): Fraction(c)})
+        c = Fraction(c)
+        return _form(0, (c,) if c else ())
 
     @classmethod
     def gen(cls, i: int) -> "WeightPoly":
         if i not in (1, 2):
             raise ValueError("weight symbols are a1 and a2")
-        return cls({(1, 0) if i == 1 else (0, 1): Fraction(1)})
+        return _form(1, (_ONE,) if i == 1 else (_ZERO, _ONE))
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.row
 
     def as_const(self) -> Optional[Fraction]:
-        if not self.terms:
-            return Fraction(0)
-        if len(self.terms) == 1 and (0, 0) in self.terms:
-            return self.terms[(0, 0)]
-        return None
+        if not self.row:
+            return _ZERO
+        return self.row[0] if self.d == 0 else None
 
     def degree(self) -> int:
         """The total degree of the form; 0 for the zero polynomial."""
-        for e1, e2 in self.terms:
-            return e1 + e2
-        return 0
-
-    def leading(self) -> tuple[Exponent, Fraction]:
-        e = max(self.terms, key=_mono_key)
-        return e, self.terms[e]
+        return self.d
 
     # -- arithmetic ----------------------------------------------------------
     def __add__(self, other: "WeightPoly") -> "WeightPoly":
-        if not other.terms:
+        if not other.row:
             return self
-        if not self.terms:
+        if not self.row:
             return other
-        if self.degree() != other.degree():
+        if self.d != other.d:
             raise Inhomogeneous(
-                f"cannot add forms of degree {self.degree()} and {other.degree()}: "
-                f"{self} and {other}"
+                f"cannot add forms of degree {self.d} and {other.d}: {self} and {other}"
             )
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        res = WeightPoly.__new__(WeightPoly)
-        res.terms = out
-        return res
+        return _form(self.d, _radd(self.row, other.row))
 
     def __neg__(self) -> "WeightPoly":
-        res = WeightPoly.__new__(WeightPoly)
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
+        return _form(self.d, tuple(-c for c in self.row))
 
     def __sub__(self, other: "WeightPoly") -> "WeightPoly":
         return self + (-other)
 
     def __mul__(self, other: "WeightPoly") -> "WeightPoly":
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1])
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        res = WeightPoly.__new__(WeightPoly)
-        res.terms = out
-        return res
+        return _form(self.d + other.d, _rmul(self.row, other.row))
 
     def scale(self, c: Rational) -> "WeightPoly":
         c = Fraction(c)
         if c == 0:
             return WeightPoly.zero()
-        res = WeightPoly.__new__(WeightPoly)
-        res.terms = {e: k * c for e, k in self.terms.items()}
-        return res
+        return _form(self.d, tuple(k * c for k in self.row))
 
     def __pow__(self, n: int) -> "WeightPoly":
         if n < 0:
@@ -237,47 +230,39 @@ class WeightPoly:
 
     def eval_at(self, w1: Rational, w2: Rational) -> Fraction:
         w1, w2 = Fraction(w1), Fraction(w2)
-        total = Fraction(0)
-        for (e1, e2), c in self.terms.items():
-            total += c * w1**e1 * w2**e2
+        total = _ZERO
+        for k, c in enumerate(self.row):
+            if c:
+                total += c * w1 ** (self.d - k) * w2**k
         return total
 
     def swap_weights(self) -> "WeightPoly":
-        res = WeightPoly.__new__(WeightPoly)
-        res.terms = {(e2, e1): c for (e1, e2), c in self.terms.items()}
-        return res
+        padded = self.row + (_ZERO,) * (self.d + 1 - len(self.row))
+        return _form(self.d, _trim(padded[::-1]))
 
     # -- comparison / output --------------------------------------------------
+    def _monomials(self) -> Iterable[tuple[Exponent, Fraction]]:
+        """Nonzero terms in graded-lex order: a1 first, so lowest power of t."""
+        return (((self.d - k, k), c) for k, c in enumerate(self.row) if c)
+
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeightPoly) and self.terms == other.terms
+        return isinstance(other, WeightPoly) and self.d == other.d and self.row == other.row
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        return hash(frozenset(self._monomials()))
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for e in sorted(self.terms, key=_mono_key, reverse=True):
-            c = self.terms[e]
-            mono = "*".join(
-                (f"{name}^{k}" if k > 1 else name)
-                for name, k in (("a1", e[0]), ("a2", e[1]))
-                if k > 0
-            )
-            if not mono:
-                body = rat_to_str(abs(c))
-            elif abs(c) == 1:
-                body = mono
-            else:
-                body = f"{rat_to_str(abs(c))}*{mono}"
-            sign = "-" if c < 0 else "+"
-            parts.append(f"{sign} {body}")
-        out = " ".join(parts)
-        return out[2:] if out.startswith("+ ") else out[0] + out[2:]
+        return _format(self._monomials())
 
     def __repr__(self) -> str:
         return f"WeightPoly({self})"
+
+
+def _form(d: int, row: Row) -> WeightPoly:
+    """The form of degree d with the given trimmed row (zero when empty)."""
+    p = WeightPoly.__new__(WeightPoly)
+    p.d, p.row = (d if row else 0), row
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -286,15 +271,15 @@ class WeightPoly:
 
 def _rational_content(p: WeightPoly) -> Fraction:
     """c with p/c primitive-integer and positive graded-lex lead; 1 for 0."""
-    if p.is_zero():
-        return Fraction(1)
+    if not p.row:
+        return _ONE
     num = 0
     den = 1
-    for c in p.terms.values():
+    for c in p.row:
         num = _int_gcd(num, c.numerator)
         den = den * c.denominator // _int_gcd(den, c.denominator)
     c = Fraction(num, den)
-    return -c if p.leading()[1] < 0 else c
+    return -c if next(k for k in p.row if k) < 0 else c
 
 
 def _normalize_poly(p: WeightPoly) -> WeightPoly:
@@ -303,26 +288,16 @@ def _normalize_poly(p: WeightPoly) -> WeightPoly:
     return p.scale(1 / _rational_content(p))
 
 
-def _row(p: WeightPoly) -> tuple[int, int, list[Fraction]]:
+def _split(p: WeightPoly) -> tuple[int, int, Row]:
     """Split a nonzero form as ``a1^i * a2^j * r`` with r prime to a1 and a2.
 
-    Returns i, j and the coefficients of ``r(1, t)``, lowest power first.
+    Returns i, j and the row of r, whose first and last entries are nonzero.
     """
-    j = min(e2 for _, e2 in p.terms)
-    top = max(e2 for _, e2 in p.terms)
-    row = [Fraction(0)] * (top - j + 1)
-    for (_, e2), c in p.terms.items():
-        row[e2 - j] = c
-    return p.degree() - top, j, row
-
-
-def _from_row(i: int, j: int, row: list[Fraction]) -> WeightPoly:
-    """``a1^i * a2^j`` times the form of degree ``len(row) - 1`` whose
-    coefficients in t = a2/a1 are row (trimmed, lowest power first)."""
-    top = len(row) - 1
-    res = WeightPoly.__new__(WeightPoly)
-    res.terms = {(i + top - k, j + k): c for k, c in enumerate(row) if c}
-    return res
+    row = p.row
+    j = 0
+    while not row[j]:
+        j += 1
+    return p.d + 1 - len(row), j, row[j:]
 
 
 def poly_gcd(p: WeightPoly, q: WeightPoly) -> WeightPoly:
@@ -335,13 +310,14 @@ def poly_gcd(p: WeightPoly, q: WeightPoly) -> WeightPoly:
         return _normalize_poly(q)
     if q.is_zero():
         return _normalize_poly(p)
-    ip, jp, rp = _row(p)
-    iq, jq, rq = _row(q)
+    ip, jp, rp = _split(p)
+    iq, jq, rq = _split(q)
     if len(rp) == 1 or len(rq) == 1:
-        g = [Fraction(1)]  # one side is a monomial
+        g: Row = (_ONE,)  # one side is a monomial
     else:
-        g = _ugcd(rp, rq)
-    return _normalize_poly(_from_row(min(ip, iq), min(jp, jq), g))
+        g = _rgcd(rp, rq)
+    j = min(jp, jq)
+    return _normalize_poly(_form(min(ip, iq) + j + len(g) - 1, (_ZERO,) * j + g))
 
 
 def poly_divexact(p: WeightPoly, g: WeightPoly) -> WeightPoly:
@@ -353,12 +329,12 @@ def poly_divexact(p: WeightPoly, g: WeightPoly) -> WeightPoly:
         return p.scale(1 / gc)
     if p.is_zero():
         return p
-    ip, jp, rp = _row(p)
-    ig, jg, rg = _row(g)
-    quo, rem = _udivmod(rp, rg)
+    ip, jp, rp = _split(p)
+    ig, jg, rg = _split(g)
+    quo, rem = _rdivmod(rp, rg)
     if rem or ip < ig or jp < jg:
         raise ArithmeticError("inexact polynomial division")
-    return _from_row(ip - ig, jp - jg, quo)
+    return _form(p.d - g.d, (_ZERO,) * (jp - jg) + quo)
 
 
 # ---------------------------------------------------------------------------
@@ -525,3 +501,89 @@ ES_ONE = EquivariantScalar.from_rational(1)
 
 def es_eval(a: EquivariantScalar, weights: Iterable[Rational]) -> Fraction:
     return a.eval_at(weights)
+
+
+# ---------------------------------------------------------------------------
+# DeltaPoly
+# ---------------------------------------------------------------------------
+
+class DeltaPoly:
+    """Exact polynomial in the divisor-degree symbol delta, stored as a row."""
+
+    __slots__ = ("row",)
+
+    def __init__(self, coeffs: Sequence[Fraction | int]):
+        self.row = _trim([Fraction(c) for c in coeffs])
+
+    @classmethod
+    def delta(cls) -> "DeltaPoly":
+        return cls([0, 1])
+
+    def as_const(self) -> Optional[Fraction]:
+        if not self.row:
+            return _ZERO
+        return self.row[0] if len(self.row) == 1 else None
+
+    def __call__(self, value) -> Fraction:
+        out = _ZERO
+        v = Fraction(value)
+        for c in reversed(self.row):
+            out = out * v + c
+        return out
+
+    @staticmethod
+    def _lift(other) -> "DeltaPoly":
+        return other if isinstance(other, DeltaPoly) else DeltaPoly([other])
+
+    def __add__(self, other):
+        return DeltaPoly(_radd(self.row, self._lift(other).row))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return DeltaPoly([-c for c in self.row])
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        return DeltaPoly(_rmul(self.row, self._lift(other).row))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        c = self._lift(other).as_const()
+        if c is None:
+            raise ValueError("division only by constants")
+        return self * (1 / c)
+
+    def __pow__(self, n: int):
+        out = DeltaPoly([1])
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def __eq__(self, other) -> bool:
+        return self.row == self._lift(other).row
+
+    def __hash__(self):
+        return hash(self.row)
+
+    def __str__(self) -> str:
+        if not self.row:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.row):
+            if c == 0:
+                continue
+            if i == 0:
+                parts.append(str(c))
+            else:
+                mono = "delta" if i == 1 else f"delta^{i}"
+                parts.append(mono if c == 1 else f"{c}*{mono}")
+        return " + ".join(parts).replace("+ -", "- ")
+
+    __repr__ = __str__

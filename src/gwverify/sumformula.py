@@ -15,7 +15,6 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .chern import (
-    DeltaPoly,
     degree_correction_genus3,
     euler_char,
     genus1_consistency_alpha,
@@ -28,7 +27,7 @@ from .errors import ContactMismatch, ResourceBound
 from .hodge import HodgeMonomial, hodge_intersect
 from .localization import builtin_problem, problem_total
 from .reports import VerificationReport
-from .scalars import rat_to_str
+from .scalars import DeltaPoly, rat_to_str
 
 MAX_GRAPH_GENUS = 3
 MAX_GRAPH_WEIGHT = 12
@@ -133,12 +132,9 @@ def vir_dim(setting: GwSetting, s: Optional[Sequence[int]] = None) -> int:
     return 2 * (base + len(s) - sum(s))
 
 
-def hollow_sufficient(
-    n: int, g: int, delta: int, candidates: Iterable[tuple[int, int, int]]
-) -> bool:
+def hollow_sufficient(n: int, g: int, candidates: Iterable[tuple[int, int, int]]) -> bool:
     """Sufficient hollowness criterion: every candidate class satisfies
     A'.V > <c1(X), A'> + (n-4)(1-g'); candidates are (g', c1A', A'.V)."""
-    del delta  # recorded by the caller when building candidates
     return all(
         AdotV > c1A + (n - 4) * (1 - gp) for gp, c1A, AdotV in candidates
     )
@@ -197,15 +193,6 @@ def thm1_verdict(setting: GwSetting) -> Verdict:
 # graph enumeration and filtering
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GraphConstraints:
-    """Enumeration regime: the X-vertex has degree one and carries every
-    marked point; V-vertices have genus at most the cap."""
-
-    genus_cap_v: int = 3
-    v_components: int = 1
-
-
 def _partitions(total: int, max_part: Optional[int] = None):
     """Partitions of total as descending tuples."""
     if total == 0:
@@ -237,11 +224,12 @@ def _vertex_shapes(weight: int, loops: int):
     return rec(0, weight, loops)
 
 
-def enumerate_graphs(
-    g: int, AdotV: int, k: int, constraints: GraphConstraints
-) -> list[BipartiteGraph]:
-    """All decorated bipartite graphs for the setting, up to isomorphism
-    (divisor components stay distinguishable), each generated once."""
+def enumerate_graphs(g: int, AdotV: int, k: int, components: int) -> list[BipartiteGraph]:
+    """All decorated bipartite graphs for the setting, up to isomorphism,
+    each generated once.  The X-vertex has degree one and carries every
+    marked point.  The divisor is connected when components is 1; otherwise
+    it has A.V components, each met with weight one, which stay
+    distinguishable."""
     if AdotV < 0:
         raise ValueError("A.V must be nonnegative")
     if g > MAX_GRAPH_GENUS or AdotV > MAX_GRAPH_WEIGHT:
@@ -258,20 +246,18 @@ def enumerate_graphs(
         for graph in out:
             graph.validate(g, 0, k)
         return out
-    ncomp = constraints.v_components
-    if ncomp > 1:
-        if AdotV != ncomp:
+    if components > 1:
+        if AdotV != components:
             raise ValueError("disconnected divisors carry weight one per component")
-        weights = [1] * ncomp
+        weights = [1] * components
     else:
         weights = [AdotV]
-    cap = constraints.genus_cap_v
     # one frozen vertex per decoration, shared by every graph that uses it
     v_pool: dict = {}
     graphs: list[BipartiteGraph] = []
     for shapes in product(*(_vertex_shapes(w, g) for w in weights)):
         vertices = [
-            (comp if ncomp > 1 else 0, d, labels)
+            (comp if components > 1 else 0, d, labels)
             for comp, shape in enumerate(shapes, start=1)
             for d, labels in shape
         ]
@@ -288,7 +274,7 @@ def enumerate_graphs(
                 return
             comp, d, _ = vertices[i]
             lo = acc[-1].genus if i and vertices[i] == vertices[i - 1] else 0
-            for gv in range(lo, min(left, cap) + 1):
+            for gv in range(lo, left + 1):
                 key = (gv, d, comp)
                 vertex = v_pool.get(key) or v_pool.setdefault(key, GraphVertex("V", gv, d, 0, comp))
                 genera(i + 1, left - gv, acc + [vertex])
@@ -334,16 +320,14 @@ def example_graphs(example_id: int, delta: int) -> list[tuple[BipartiteGraph, bo
     a connected divisor of degree delta, kappa trivial, n = 4), each paired
     with whether it survives the vanishing filter."""
     if example_id == 2:
-        g, k, n, kappa_trivial = 2, 2, 1, False
-        constraints = GraphConstraints(genus_cap_v=2, v_components=delta)
+        g, k, n, kappa_trivial, components = 2, 2, 1, False, delta
     elif example_id == 3:
-        g, k, n, kappa_trivial = 3, 1, 4, True
-        constraints = GraphConstraints(genus_cap_v=3, v_components=1)
+        g, k, n, kappa_trivial, components = 3, 1, 4, True, 1
     else:
         raise ValueError(f"degeneration graphs exist for examples 2 and 3, not {example_id}")
     return [
         (graph, vanishing_filter(graph, n, kappa_trivial, g_top=g))
-        for graph in enumerate_graphs(g, delta, k, constraints)
+        for graph in enumerate_graphs(g, delta, k, components)
     ]
 
 
@@ -351,53 +335,66 @@ def example_graphs(example_id: int, delta: int) -> list[tuple[BipartiteGraph, bo
 # the three worked examples
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if isinstance(value, DeltaPoly):
-        return str(value)
-    return rat_to_str(value)
+# The paper's closed forms: the absolute invariants, the genus-3 correction
+# term, and the degree identities (1.13) and (1.14), as polynomials in delta.
+DELTA = DeltaPoly.delta()
+GENUS2_ABSOLUTE = Fraction(1, 240)
+IDENTITY_1_13 = GENUS2_ABSOLUTE - DELTA / 1152
+GENUS3_ABSOLUTE = Fraction(-37, 82944)
+GENUS3_CORRECTION = DELTA * (DELTA * DELTA - 5 * DELTA + 8) / 72576
+IDENTITY_1_14 = GENUS3_ABSOLUTE - GENUS3_CORRECTION
+
+
+def _printer(delta):
+    """How an example prints a polynomial in delta: the polynomial itself,
+    or its value at the numeric degree."""
+    if delta == "symbolic":
+        return str
+    return lambda value: rat_to_str(value(int(delta)))
 
 
 def assemble_example_1(n: int, delta, alpha_mult=1) -> VerificationReport:
     """Genus-1 degree-0 consistency identities for a hypersurface in
     projective space; a polynomial identity when the degree is symbolic."""
     report = VerificationReport(command=f"verify example 1 (n={n}, delta={delta})")
+    show = _printer(delta)
     X = projective_space(n)
-    V = hypersurface(n, DeltaPoly.delta() if delta == "symbolic" else int(delta))
-    report.add("chi(X)", _fmt(euler_char(X)), "Euler characteristic")
-    report.add("chi(V)", _fmt(euler_char(V)), "Euler characteristic")
+    V = hypersurface(n, DELTA)
+    report.add("chi(X)", rat_to_str(euler_char(X)), "Euler characteristic")
+    report.add("chi(V)", show(euler_char(V)), "Euler characteristic")
     report.add(
         "absolute j-invariant chi(X)/2",
-        _fmt(gw_genus1_deg0(X, None, "j")),
+        rat_to_str(gw_genus1_deg0(X, None, "j")),
         "(1.11) first equality",
     )
     report.add(
         "relative j-invariant (chi(X)-chi(V))/2",
-        _fmt(gw_genus1_deg0(X, V, "j")),
+        show(gw_genus1_deg0(X, V, "j")),
         "(1.11) second equality",
     )
     lhs, rhs = genus1_consistency_j(X, V)
     report.add(
         "degeneration consistency, j insertion",
-        _fmt(rhs),
+        show(rhs),
         "(4.12)",
-        expected=_fmt(lhs),
+        expected=rat_to_str(lhs),
     )
     report.add(
         "absolute alpha-invariant",
-        _fmt(gw_genus1_deg0(X, None, ("alpha", alpha_mult))),
+        rat_to_str(gw_genus1_deg0(X, None, ("alpha", alpha_mult))),
         "(1.12) first equality",
     )
     report.add(
         "relative alpha-invariant",
-        _fmt(gw_genus1_deg0(X, V, ("alpha", alpha_mult))),
+        show(gw_genus1_deg0(X, V, ("alpha", alpha_mult))),
         "(1.12) second equality",
     )
     lhs, rhs = genus1_consistency_alpha(X, V, a=alpha_mult)
     report.add(
         "degeneration consistency, alpha insertion",
-        _fmt(rhs),
+        show(rhs),
         "(4.13)",
-        expected=_fmt(lhs),
+        expected=rat_to_str(lhs),
     )
     return report
 
@@ -414,11 +411,24 @@ def _graph_items(report, example_id, delta, expected_count):
         report.add(f"graph {i}", graph.describe(), "contributing configuration")
 
 
+def _identity_items(report, delta, implied, claimed, source):
+    """With a symbolic degree, sample the identity at delta = 1..10."""
+    if delta != "symbolic":
+        return
+    for dv in range(1, 11):
+        report.add(
+            f"identity at delta={dv}",
+            rat_to_str(implied(dv)),
+            source,
+            expected=rat_to_str(claimed(dv)),
+        )
+
+
 def assemble_example_2(delta) -> VerificationReport:
     """The genus-2 degree-1 identity for the projective line relative to
     delta points, as a polynomial identity when delta is symbolic."""
     symbolic = delta == "symbolic"
-    d = DeltaPoly.delta() if symbolic else int(delta)
+    show = _printer(delta)
     report = VerificationReport(command=f"verify example 2 (delta={delta})")
     if not symbolic:
         _graph_items(report, 2, int(delta), expected_count=1 + int(delta))
@@ -431,40 +441,30 @@ def assemble_example_2(delta) -> VerificationReport:
     )
     psi4 = hodge_intersect(HodgeMonomial(2, 1, (4,), (0, 0)))
     report.add("<psi^4> on the 1-pointed genus-2 space", rat_to_str(psi4), "Table 2", expected="1/1152")
-    correction = d * (vertex_factor * psi4)
-    report.add("correction term delta/1152", _fmt(correction), "(1.13)")
+    correction = DELTA * (vertex_factor * psi4)
+    report.add("correction term delta/1152", show(correction), "(1.13)")
     absolute = problem_total(builtin_problem("fig8-absolute"))
-    report.add("absolute invariant", rat_to_str(absolute), "(4.25)+(4.26)", expected="1/240")
-    implied = absolute - correction
-    claimed = (
-        DeltaPoly([Fraction(1, 240), Fraction(-1, 1152)])
-        if symbolic
-        else Fraction(1, 240) - Fraction(int(delta), 1152)
+    report.add(
+        "absolute invariant",
+        rat_to_str(absolute),
+        "(4.25)+(4.26)",
+        expected=rat_to_str(GENUS2_ABSOLUTE),
     )
+    implied = absolute - correction
     report.add(
         "implied relative invariant / delta!",
-        _fmt(implied),
+        show(implied),
         "(1.13)",
-        expected=_fmt(claimed),
+        expected=show(IDENTITY_1_13),
     )
-    if symbolic:
-        for dv in range(1, 11):
-            report.add(
-                f"identity at delta={dv}",
-                rat_to_str(implied(dv)),
-                "(1.13)",
-                expected=rat_to_str(Fraction(1, 240) - Fraction(dv, 1152)),
-            )
-        at1 = implied(1)
-    else:
-        at1 = implied if int(delta) == 1 else None
-    if at1 is not None:
+    _identity_items(report, delta, implied, IDENTITY_1_13, "(1.13)")
+    if symbolic or int(delta) == 1:
         relative = problem_total(builtin_problem("fig8-relative"))
         report.add(
             "localization cross-check at delta=1",
             rat_to_str(relative),
             "(4.24) second integral",
-            expected=rat_to_str(at1),
+            expected=rat_to_str(implied(1)),
         )
     return report
 
@@ -473,67 +473,41 @@ def assemble_example_3(delta) -> VerificationReport:
     """The genus-3 degree-1 identity for four-dimensional projective space
     relative to a degree-delta hypersurface."""
     symbolic = delta == "symbolic"
-    d = DeltaPoly.delta() if symbolic else int(delta)
+    show = _printer(delta)
     report = VerificationReport(command=f"verify example 3 (delta={delta})")
     if not symbolic:
         _graph_items(report, 3, int(delta), expected_count=2)
     pushforward = problem_total(builtin_problem("fig10"))
     report.add("top-genus push-forward degree", rat_to_str(pushforward), "(4.31)", expected="4")
-    V = hypersurface(4, d)
-    correction = degree_correction_genus3(V, multiplier=pushforward)
-    claimed_corr = (
-        DeltaPoly([0, Fraction(8, 72576), Fraction(-5, 72576), Fraction(1, 72576)])
-        if symbolic
-        else Fraction(int(delta) * (int(delta) ** 2 - 5 * int(delta) + 8), 72576)
-    )
+    correction = degree_correction_genus3(hypersurface(4, DELTA), multiplier=pushforward)
     report.add(
         "correction term delta(delta^2-5delta+8)/72576",
-        _fmt(correction),
+        show(correction),
         "Lemma 4.4 + Table 1",
-        expected=_fmt(claimed_corr),
+        expected=show(GENUS3_CORRECTION),
     )
     absolute = problem_total(builtin_problem("p4-absolute"))
     report.add(
         "absolute invariant",
         rat_to_str(absolute),
         "(4.33)-(4.36) doubled",
-        expected="-37/82944",
+        expected=rat_to_str(GENUS3_ABSOLUTE),
     )
     implied = absolute - correction
-    if symbolic:
-        claimed = DeltaPoly(
-            [
-                Fraction(-37, 82944),
-                Fraction(-8, 72576),
-                Fraction(5, 72576),
-                Fraction(-1, 72576),
-            ]
-        )
-        report.add(
-            "implied relative invariant / delta!",
-            _fmt(implied),
-            "(1.14)",
-            expected=_fmt(claimed),
-        )
-        for dv in range(1, 11):
-            expect = Fraction(-37, 82944) - Fraction(dv * (dv * dv - 5 * dv + 8), 72576)
-            report.add(
-                f"identity at delta={dv}",
-                rat_to_str(implied(dv)),
-                "(1.14)",
-                expected=rat_to_str(expect),
-            )
-        at1 = implied(1)
-    else:
-        report.add("implied relative invariant / delta!", _fmt(implied), "(1.14)")
-        at1 = implied if int(delta) == 1 else None
-    if at1 is not None:
+    report.add(
+        "implied relative invariant / delta!",
+        show(implied),
+        "(1.14)",
+        expected=show(IDENTITY_1_14) if symbolic else None,
+    )
+    _identity_items(report, delta, implied, IDENTITY_1_14, "(1.14)")
+    if symbolic or int(delta) == 1:
         relative = problem_total(builtin_problem("p4-relative-delta1"))
         report.add(
             "localization cross-check at delta=1",
             rat_to_str(relative),
             "(4.37)-(4.42)",
-            expected=rat_to_str(at1),
+            expected=rat_to_str(implied(1)),
         )
     return report
 

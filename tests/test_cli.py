@@ -83,6 +83,17 @@ def test_localize_eval_and_json(capsys):
     assert values["evaluation at (5,2)"] == "4"
 
 
+def test_localize_eval_at_a_pole_is_a_usage_error(capsys):
+    # every locus of the relative problem has a pole at a1 = a2, although
+    # the symbolic total is the constant -97/193536
+    code, out, err = run(capsys, "localize", "--config", "p4-relative-delta1", "--eval", "1,1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: locus 'genus1-at-p1-genus2-rubber': denominator vanishes")
+    # the swapped weights are evaluated too: (0, 2) is a pole only of the swap
+    code, out, err = run(capsys, "localize", "--config", "p4-relative-delta1", "--eval", "2,0")
+    assert code == 2 and "denominator vanishes at (0, 2)" in err
+
+
 def test_verify_commands(capsys):
     code, out, _ = run(capsys, "verify", "--example", "3", "--delta", "1")
     assert code == 0
@@ -136,6 +147,14 @@ def test_scalar_output_golden(capsys):
             "babc65f297e79159c01ad84407f14d7a2e4a1ba85c23c5eaa75ead3e4cfb183d",
         ("verify", "--example", "3", "--symbolic"):
             "dbe68f01515b57769a1c82df0f34fbf08aba755ee9435a21d2a3c72f5c1ed4df",
+        ("verify", "--example", "2", "--delta", "3"):
+            "3ab6fecd8acf4e1c7b55c9858fc01c26254dfb5e6d20fd84cbcd288863168365",
+        ("verify", "--example", "3", "--delta", "1"):
+            "c5778d387f7aa74dcf27537df218a549dadffab6203a7bf0f1d0003762ed67e8",
+        ("verify", "--example", "3", "--delta", "4"):
+            "9c24f3db23ecc174d90fd78bce9ab92eda12de73869577fb2dba6b260023bb18",
+        ("verify", "--example", "1", "--delta", "3", "--n", "3"):
+            "cfc39884976ca6cbb253c51542b4c0407bb2cc8b4dd63813a10b15df2a75ee32",
     }
     for argv, digest in golden.items():
         code, out, _ = run(capsys, *argv)

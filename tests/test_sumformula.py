@@ -9,7 +9,6 @@ from gwverify.sumformula import (
     GUARANTEED_PRIMARY_ONLY,
     NOT_GUARANTEED,
     BipartiteGraph,
-    GraphConstraints,
     GraphVertex,
     GwSetting,
     assemble_example,
@@ -59,10 +58,10 @@ def test_vir_dim_all_ones_property():
 
 def test_hollow_sufficient():
     # degree-6 hypersurface: 6d > 5d always
-    assert hollow_sufficient(4, 3, 6, p4_line_candidates(6, 3))
+    assert hollow_sufficient(4, 3, p4_line_candidates(6, 3))
     # degree-5: 5d > 5d fails
-    assert not hollow_sufficient(4, 3, 5, p4_line_candidates(5, 3))
-    assert hollow_sufficient(4, 3, 6, [])
+    assert not hollow_sufficient(4, 3, p4_line_candidates(5, 3))
+    assert hollow_sufficient(4, 3, [])
 
 
 def test_stability_sufficient():
@@ -121,8 +120,7 @@ def test_thm1_monotone_in_n():
 
 def test_example2_graph_counts():
     for delta in range(1, 13):
-        cons = GraphConstraints(genus_cap_v=2, v_components=delta)
-        graphs = enumerate_graphs(2, delta, 2, cons)
+        graphs = enumerate_graphs(2, delta, 2, delta)
         # genus budget 2 over the X-vertex and the delta V-vertices:
         # all on X; one V-vertex with 1 or 2; two V-vertices with 1 each
         expected_total = 1 + 2 * delta + delta * (delta - 1) // 2
@@ -133,8 +131,7 @@ def test_example2_graph_counts():
 
 def test_example3_graph_counts():
     for delta in range(1, 6):
-        cons = GraphConstraints(genus_cap_v=3, v_components=1)
-        graphs = enumerate_graphs(3, delta, 1, cons)
+        graphs = enumerate_graphs(3, delta, 1, 1)
         surviving = [g for g in graphs if vanishing_filter(g, 4, True, 3)]
         assert len(surviving) == 2
         # the two survivors: all-basic with X-genus 3, and one genus-3 vertex
@@ -152,8 +149,7 @@ def test_example_graphs_flag_the_survivors():
 
 
 def test_example3_graph_totals():
-    cons = GraphConstraints(genus_cap_v=3, v_components=1)
-    totals = [len(enumerate_graphs(3, d, 1, cons)) for d in range(1, 13)]
+    totals = [len(enumerate_graphs(3, d, 1, 1)) for d in range(1, 13)]
     assert totals == [4, 13, 32, 73, 147, 287, 521, 922, 1563, 2592, 4172, 6602]
 
 
@@ -166,13 +162,13 @@ def _compositions(total):
             yield (first,) + rest
 
 
-def _brute_force_keys(g, AdotV, k, cons):
+def _brute_force_keys(g, AdotV, k, components):
     """Every graph as an isomorphism-invariant key, from ordered tuples of
     V-vertex decorations (genus, d, labels), one tuple per divisor component."""
-    weights = [1] * AdotV if cons.v_components > 1 else [AdotV]
+    weights = [1] * AdotV if components > 1 else [AdotV]
     per_component = []
     for comp, w in enumerate(weights, start=1):
-        tag = comp if cons.v_components > 1 else 0
+        tag = comp if components > 1 else 0
         per_component.append([
             tuple((tag, d, ls) for d, ls in zip(loads, labels))
             for loads in _compositions(w)
@@ -182,7 +178,7 @@ def _brute_force_keys(g, AdotV, k, cons):
     for parts in product(*per_component):
         vertices = [v for part in parts for v in part]
         loops = sum(len(ls) - 1 for _, _, ls in vertices)
-        for genera in product(range(cons.genus_cap_v + 1), repeat=len(vertices)):
+        for genera in product(range(g + 1), repeat=len(vertices)):
             x_genus = g - loops - sum(genera)
             if x_genus < 0:
                 continue
@@ -196,34 +192,30 @@ def _brute_force_keys(g, AdotV, k, cons):
 def test_enumeration_matches_brute_force():
     for g in range(4):
         for AdotV in range(1, 7):
-            for cons in (
-                GraphConstraints(genus_cap_v=3, v_components=1),
-                GraphConstraints(genus_cap_v=1, v_components=1),
-                GraphConstraints(genus_cap_v=2, v_components=AdotV),
-            ):
-                graphs = enumerate_graphs(g, AdotV, 1, cons)
+            for components in (1, AdotV):
+                graphs = enumerate_graphs(g, AdotV, 1, components)
                 keys = [
                     (gr.x_vertex, frozenset(Counter(zip(gr.v_vertices, gr.labels)).items()))
                     for gr in graphs
                 ]
-                assert len(set(keys)) == len(keys), (g, AdotV, cons)  # no graph twice
-                assert set(keys) == _brute_force_keys(g, AdotV, 1, cons), (g, AdotV, cons)
+                assert len(set(keys)) == len(keys), (g, AdotV, components)  # no graph twice
+                assert set(keys) == _brute_force_keys(g, AdotV, 1, components), (g, AdotV, components)
 
 
 def test_negative_degree_rejected():
     with pytest.raises(ValueError):
-        enumerate_graphs(1, -1, 0, GraphConstraints())
+        enumerate_graphs(1, -1, 0, 1)
 
 
 def test_genus_zero_graphs_are_trees():
-    graphs = enumerate_graphs(0, 3, 2, GraphConstraints(genus_cap_v=0, v_components=1))
+    graphs = enumerate_graphs(0, 3, 2, 1)
     for g in graphs:
         assert g.graph_genus == 0 or not vanishing_filter(g, 4, True, 0)
         assert all(v.genus == 0 for v in g.v_vertices)
 
 
 def test_degree_zero_one_vertex_graphs():
-    graphs = enumerate_graphs(1, 0, 1, GraphConstraints())
+    graphs = enumerate_graphs(1, 0, 1, 1)
     assert len(graphs) == 2
     sides = sorted(("V" if g.v_vertices else "X") for g in graphs)
     assert sides == ["V", "X"]
@@ -231,9 +223,9 @@ def test_degree_zero_one_vertex_graphs():
 
 def test_resource_bound():
     with pytest.raises(ResourceBound):
-        enumerate_graphs(4, 1, 0, GraphConstraints())
+        enumerate_graphs(4, 1, 0, 1)
     with pytest.raises(ResourceBound):
-        enumerate_graphs(2, 13, 0, GraphConstraints())
+        enumerate_graphs(2, 13, 0, 1)
 
 
 def test_filter_rejects_wrong_shapes():
