@@ -237,21 +237,19 @@ class TautClass:
 
     def __mul__(self, other: "TautClass") -> "TautClass":
         self._require_same_base(other)
-        out: dict[Mono, EquivariantScalar] = {}
+        pairs: dict[Mono, list[tuple[EquivariantScalar, EquivariantScalar]]] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = tuple(
                     tuple(a + b for a, b in zip(e1, e2)) for e1, e2 in zip(m1, m2)
                 )
-                if not _mono_ok(self.base, m):
-                    continue
-                s = out.get(m, ES_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+                if _mono_ok(self.base, m):
+                    pairs.setdefault(m, []).append((c1, c2))
         res = TautClass(self.base)
-        res.terms = out
+        for m, ps in pairs.items():
+            s = EquivariantScalar.dot(ps)
+            if not s.is_zero():
+                res.terms[m] = s
         return res
 
     def __pow__(self, k: int) -> "TautClass":
@@ -327,12 +325,13 @@ def tc_invert(a: TautClass) -> TautClass:
     nilpotent = a - TautClass.scalar(a.base, a0)
     out = TautClass.scalar(a.base, inv0)
     power = TautClass.one(a.base)
-    sign = Fraction(-1)
-    for k in range(1, a.base.dim + 1):
+    coeff = inv0
+    for _ in range(a.base.dim):
         power = power * nilpotent
         if power.is_zero():
             break
-        out = out + power.scale(inv0 ** (k + 1)).scale(sign**k)
+        coeff = -coeff * inv0  # (-1)^k inv0^(k+1)
+        out = out + power.scale(coeff)
     return out
 
 

@@ -3,25 +3,27 @@ a2, canonical ratios of such forms, and polynomials in the divisor degree.
 
 Every number in the package is built from these types; no floating point is
 used anywhere.  Every polynomial here is stored as a *row*: a tuple of
-``Fraction`` coefficients, lowest power first, with no trailing zero.
+coefficients, lowest power first, with no trailing zero.
 
 A :class:`WeightPoly` is a binary form of degree d, that is ``a1^d f(t)``
-with ``t = a2/a1``; it is stored as d and the row of f, so ``row[k]`` is the
-coefficient of ``a1^(d-k) a2^k``.  Building an inhomogeneous one
-(``a1 + 1``) raises :class:`Inhomogeneous`; a product of forms is a form.
-Gcds and exact divisions run on the rows once the powers of ``a1`` and
-``a2`` are split off.  An :class:`EquivariantScalar` is a reduced fraction
-``num/den`` of two forms, normalized so that ``gcd(num, den) = 1``, the
-denominator has coprime integer coefficients, and its graded-lex (a1 > a2)
-leading coefficient, the one at the lowest power of t, is positive.
-Canonical form makes equality syntactic.  A :class:`DeltaPoly` is a
-polynomial in the divisor-degree symbol on the same rows.
+with ``t = a2/a1``.  It is stored as d, a rational content c and a primitive
+integer row, so the coefficient of ``a1^(d-k) a2^k`` is ``c * row[k]``; c
+carries the sign that makes the row's first nonzero entry, the graded-lex
+(a1 > a2) leading coefficient, positive.  Building an inhomogeneous form
+(``a1 + 1``) raises :class:`Inhomogeneous`; a product of forms is a form,
+and by Gauss's lemma its row is the product of the rows.  Gcds and exact
+divisions run on the integer rows once the powers of ``a1`` and ``a2`` are
+split off.  An :class:`EquivariantScalar` is a reduced fraction ``num/den``
+of two forms, normalized so that ``gcd(num, den) = 1`` and the denominator
+has content 1.  Canonical form makes equality syntactic.  A
+:class:`DeltaPoly` is a polynomial in the divisor-degree symbol on
+``Fraction`` rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd
+from math import gcd as _int_gcd, lcm as _int_lcm
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import DenominatorVanishes, DivisionByZero, Inhomogeneous, ParseError
@@ -29,7 +31,7 @@ from .errors import DenominatorVanishes, DivisionByZero, Inhomogeneous, ParseErr
 Rational = Fraction
 
 Exponent = tuple[int, int]
-Row = tuple[Fraction, ...]
+Row = tuple  # of int (forms) or Fraction (DeltaPoly)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -50,10 +52,10 @@ def rat_from_str(s: str) -> Rational:
 
 
 # ---------------------------------------------------------------------------
-# rows: univariate polynomials over Fraction, lowest power first, trimmed
+# rows: univariate polynomials, lowest power first, trimmed
 # ---------------------------------------------------------------------------
 
-def _trim(row: Sequence[Fraction]) -> Row:
+def _trim(row: Sequence) -> Row:
     n = len(row)
     while n and not row[n - 1]:
         n -= 1
@@ -72,7 +74,7 @@ def _radd(p: Row, q: Row) -> Row:
 def _rmul(p: Row, q: Row) -> Row:
     if not p or not q:
         return ()
-    out = [_ZERO] * (len(p) + len(q) - 1)
+    out = [0] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a:
             for j, b in enumerate(q):
@@ -80,28 +82,56 @@ def _rmul(p: Row, q: Row) -> Row:
     return tuple(out)  # the top coefficient is p[-1] * q[-1], never 0
 
 
-def _rdivmod(p: Row, q: Row) -> tuple[Row, Row]:
-    if not q:
-        raise DivisionByZero("univariate division by zero polynomial")
+def _primitive(row: Sequence[int]) -> Row:
+    """An integer row divided by the gcd of its entries."""
+    g = _int_gcd(*row)
+    return tuple(x // g for x in row) if g > 1 else tuple(row)
+
+
+def _prem(p: Sequence[int], q: Row) -> list[int]:
+    """The remainder of an integer row p by q, up to a nonzero integer factor."""
     rem = list(p)
-    quo = [_ZERO] * max(len(p) - len(q) + 1, 0)
-    inv = 1 / q[-1]
-    while len(rem) >= len(q):
-        c = rem[-1] * inv
-        d = len(rem) - len(q)
-        quo[d] = c
+    n, lead = len(q), q[-1]
+    while len(rem) >= n:
+        c = rem[-1]
+        g = _int_gcd(c, lead)
+        k, c = lead // g, c // g
+        s = len(rem) - n
+        if k != 1:
+            rem = [k * x for x in rem]
         for i, b in enumerate(q):
-            rem[i + d] -= c * b
+            rem[i + s] -= c * b
         while rem and not rem[-1]:
             rem.pop()
-    return _trim(quo), tuple(rem)
+    return rem
 
 
-def _rgcd(p: Row, q: Row) -> Row:
-    """A gcd of two nonzero rows, up to a rational factor."""
+def _igcd(p: Row, q: Row) -> Row:
+    """Gcd of two primitive integer rows with nonzero first entries, by a
+    primitive remainder sequence; primitive, with a positive first entry."""
     while q:
-        p, q = q, _rdivmod(p, q)[1]
-    return p
+        p, q = q, _primitive(_prem(p, q))
+    return p if p[0] > 0 else tuple(-x for x in p)
+
+
+def _iexquo(p: Row, q: Row) -> Row:
+    """The integer row p/q; raises unless q divides p exactly."""
+    rem = list(p)
+    n, lead = len(q), q[-1]
+    quo = [0] * max(len(p) - n + 1, 0)
+    while len(rem) >= n:
+        c, r = divmod(rem[-1], lead)
+        if r:
+            break
+        s = len(rem) - n
+        quo[s] = c
+        for i, b in enumerate(q):
+            rem[i + s] -= c * b
+        while rem and not rem[-1]:
+            rem.pop()
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    return tuple(quo)
 
 
 def _format(monomials: Iterable[tuple[Exponent, Fraction]]) -> str:
@@ -131,14 +161,15 @@ def _format(monomials: Iterable[tuple[Exponent, Fraction]]) -> str:
 # ---------------------------------------------------------------------------
 
 class WeightPoly:
-    """Binary form in the weights a1, a2: its degree ``d`` and the row of
-    ``f(t)``, where the form is ``a1^d f(a2/a1)``.
+    """Binary form in the weights a1, a2: its degree ``d``, its content ``c``
+    and the primitive integer row of ``f(t)/c``, where the form is
+    ``a1^d f(a2/a1)``.
 
     Instances are treated as immutable.  The zero polynomial is a form of
-    every degree; it is stored with ``d = 0`` and the empty row.
+    every degree; it is stored with ``d = 0``, ``c = 0`` and the empty row.
     """
 
-    __slots__ = ("d", "row")
+    __slots__ = ("d", "c", "row")
 
     def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
         """A form from its coefficients keyed on exponent pairs ``(e1, e2)``."""
@@ -153,36 +184,35 @@ class WeightPoly:
         if len(degrees) > 1:
             order = sorted(clean.items(), key=lambda ec: (sum(ec[0]), ec[0][0]), reverse=True)
             raise Inhomogeneous(f"{_format(order)} is not homogeneous in a1, a2")
-        row = [_ZERO] * (max((e2 for _, e2 in clean), default=-1) + 1)
+        den = _int_lcm(*(c.denominator for c in clean.values()))
+        row = [0] * (max((e2 for _, e2 in clean), default=-1) + 1)
         for (_, e2), c in clean.items():
-            row[e2] = c
-        self.d = degrees.pop() if degrees else 0
-        self.row = tuple(row)
+            row[e2] = c.numerator * (den // c.denominator)
+        p = _canon(degrees.pop() if degrees else 0, row, den)
+        self.d, self.c, self.row = p.d, p.c, p.row
 
     # -- constructors -------------------------------------------------------
     @classmethod
     def zero(cls) -> "WeightPoly":
-        return _form(0, ())
+        return _ZERO_FORM
 
     @classmethod
     def const(cls, c: Rational | int) -> "WeightPoly":
         c = Fraction(c)
-        return _form(0, (c,) if c else ())
+        return _form(0, c, (1,)) if c else _ZERO_FORM
 
     @classmethod
     def gen(cls, i: int) -> "WeightPoly":
         if i not in (1, 2):
             raise ValueError("weight symbols are a1 and a2")
-        return _form(1, (_ONE,) if i == 1 else (_ZERO, _ONE))
+        return _form(1, _ONE, (1,) if i == 1 else (0, 1))
 
     # -- predicates ----------------------------------------------------------
     def is_zero(self) -> bool:
         return not self.row
 
     def as_const(self) -> Optional[Fraction]:
-        if not self.row:
-            return _ZERO
-        return self.row[0] if self.d == 0 else None
+        return self.c if self.d == 0 else None
 
     def degree(self) -> int:
         """The total degree of the form; 0 for the zero polynomial."""
@@ -198,22 +228,24 @@ class WeightPoly:
             raise Inhomogeneous(
                 f"cannot add forms of degree {self.d} and {other.d}: {self} and {other}"
             )
-        return _form(self.d, _radd(self.row, other.row))
+        return _sum_forms(self.d, (self, other))
 
     def __neg__(self) -> "WeightPoly":
-        return _form(self.d, tuple(-c for c in self.row))
+        return _form(self.d, -self.c, self.row)
 
     def __sub__(self, other: "WeightPoly") -> "WeightPoly":
         return self + (-other)
 
     def __mul__(self, other: "WeightPoly") -> "WeightPoly":
-        return _form(self.d + other.d, _rmul(self.row, other.row))
+        if not self.row or not other.row:
+            return _ZERO_FORM
+        # Gauss's lemma: the product of primitive rows with positive leads is one
+        return _form(self.d + other.d, self.c * other.c, _rmul(self.row, other.row))
 
     def scale(self, c: Rational) -> "WeightPoly":
-        c = Fraction(c)
-        if c == 0:
-            return WeightPoly.zero()
-        return _form(self.d, tuple(k * c for k in self.row))
+        if not c or not self.row:
+            return _ZERO_FORM
+        return _form(self.d, self.c * c, self.row)
 
     def __pow__(self, n: int) -> "WeightPoly":
         if n < 0:
@@ -230,26 +262,33 @@ class WeightPoly:
 
     def eval_at(self, w1: Rational, w2: Rational) -> Fraction:
         w1, w2 = Fraction(w1), Fraction(w2)
-        total = _ZERO
-        for k, c in enumerate(self.row):
-            if c:
-                total += c * w1 ** (self.d - k) * w2**k
-        return total
+        q = w1.denominator * w2.denominator
+        s = _hsum(self, w1.numerator * w2.denominator, w2.numerator * w1.denominator)
+        return Fraction(self.c.numerator * s, self.c.denominator * q**self.d)
 
     def swap_weights(self) -> "WeightPoly":
-        padded = self.row + (_ZERO,) * (self.d + 1 - len(self.row))
-        return _form(self.d, _trim(padded[::-1]))
+        if not self.row:
+            return self
+        row = _trim((0,) * (self.d + 1 - len(self.row)) + self.row[::-1])
+        if self.row[-1] < 0:  # the old top entry leads now
+            return _form(self.d, -self.c, tuple(-x for x in row))
+        return _form(self.d, self.c, row)
 
     # -- comparison / output --------------------------------------------------
     def _monomials(self) -> Iterable[tuple[Exponent, Fraction]]:
         """Nonzero terms in graded-lex order: a1 first, so lowest power of t."""
-        return (((self.d - k, k), c) for k, c in enumerate(self.row) if c)
+        return (((self.d - k, k), self.c * x) for k, x in enumerate(self.row) if x)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeightPoly) and self.d == other.d and self.row == other.row
+        return (
+            isinstance(other, WeightPoly)
+            and self.d == other.d
+            and self.c == other.c
+            and self.row == other.row
+        )
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._monomials()))
+        return hash((self.d, self.c, self.row))
 
     def __str__(self) -> str:
         return _format(self._monomials())
@@ -258,38 +297,63 @@ class WeightPoly:
         return f"WeightPoly({self})"
 
 
-def _form(d: int, row: Row) -> WeightPoly:
-    """The form of degree d with the given trimmed row (zero when empty)."""
+def _form(d: int, c: Fraction, row: Row) -> WeightPoly:
+    """The form ``c * row`` of degree d; row is primitive with a positive
+    first nonzero entry, or empty for zero."""
     p = WeightPoly.__new__(WeightPoly)
-    p.d, p.row = (d if row else 0), row
+    p.d, p.c, p.row = d, c, row
     return p
+
+
+_ZERO_FORM = _form(0, _ZERO, ())
+
+
+def _canon(d: int, row: Sequence[int], den: int = 1) -> WeightPoly:
+    """The form ``row / den`` of degree d, for any integer row."""
+    row = _trim(row)
+    if not row:
+        return _ZERO_FORM
+    g = _int_gcd(*row)
+    if next(x for x in row if x) < 0:
+        g = -g
+    if g != 1:
+        row = tuple(x // g for x in row)
+    return _form(d, Fraction(g, den), row)
+
+
+def _sum_forms(d: int, forms: Sequence[WeightPoly]) -> WeightPoly:
+    """The sum of nonzero forms of degree d: their rows over one integer
+    denominator, added, and made primitive once."""
+    den = _int_lcm(*(f.c.denominator for f in forms))
+    acc = [0] * max(len(f.row) for f in forms)
+    for f in forms:
+        k = f.c.numerator * (den // f.c.denominator)
+        for i, x in enumerate(f.row):
+            if x:
+                acc[i] += k * x
+    return _canon(d, acc, den)
+
+
+def _hsum(p: WeightPoly, x: int, y: int) -> int:
+    """``sum(row[k] * x^(d-k) * y^k)``: the row of p at the integers x, y."""
+    row = p.row
+    total, yk = 0, 1
+    xs = [1]
+    for _ in range(p.d):
+        xs.append(xs[-1] * x)
+    for k, r in enumerate(row):
+        if r:
+            total += r * xs[p.d - k] * yk
+        yk *= y
+    return total
 
 
 # ---------------------------------------------------------------------------
 # gcd and exact division of forms, in t = a2/a1
 # ---------------------------------------------------------------------------
 
-def _rational_content(p: WeightPoly) -> Fraction:
-    """c with p/c primitive-integer and positive graded-lex lead; 1 for 0."""
-    if not p.row:
-        return _ONE
-    num = 0
-    den = 1
-    for c in p.row:
-        num = _int_gcd(num, c.numerator)
-        den = den * c.denominator // _int_gcd(den, c.denominator)
-    c = Fraction(num, den)
-    return -c if next(k for k in p.row if k) < 0 else c
-
-
-def _normalize_poly(p: WeightPoly) -> WeightPoly:
-    if p.is_zero():
-        return p
-    return p.scale(1 / _rational_content(p))
-
-
 def _split(p: WeightPoly) -> tuple[int, int, Row]:
-    """Split a nonzero form as ``a1^i * a2^j * r`` with r prime to a1 and a2.
+    """Split a nonzero form as ``c * a1^i * a2^j * r`` with r prime to a1 and a2.
 
     Returns i, j and the row of r, whose first and last entries are nonzero.
     """
@@ -306,35 +370,33 @@ def poly_gcd(p: WeightPoly, q: WeightPoly) -> WeightPoly:
     The monomial parts split off and give ``a1^min * a2^min``; the rest is
     prime to a1, so its gcd is the gcd of the rows in t, made a form again.
     """
-    if p.is_zero():
-        return _normalize_poly(q)
-    if q.is_zero():
-        return _normalize_poly(p)
+    if not p.row or not q.row:
+        r = q if not p.row else p
+        return _form(r.d, _ONE, r.row) if r.row else r
     ip, jp, rp = _split(p)
     iq, jq, rq = _split(q)
     if len(rp) == 1 or len(rq) == 1:
-        g: Row = (_ONE,)  # one side is a monomial
+        g: Row = (1,)  # one side is a monomial
     else:
-        g = _rgcd(rp, rq)
+        g = _igcd(rp, rq)
     j = min(jp, jq)
-    return _normalize_poly(_form(min(ip, iq) + j + len(g) - 1, (_ZERO,) * j + g))
+    return _form(min(ip, iq) + j + len(g) - 1, _ONE, (0,) * j + g)
 
 
 def poly_divexact(p: WeightPoly, g: WeightPoly) -> WeightPoly:
     """Exact division p/g of forms; raises if g does not divide p."""
-    if g.is_zero():
+    if not g.row:
         raise DivisionByZero("division by zero polynomial")
-    gc = g.as_const()
-    if gc is not None:
-        return p.scale(1 / gc)
-    if p.is_zero():
+    if g.d == 0:
+        return p.scale(1 / g.c)
+    if not p.row:
         return p
     ip, jp, rp = _split(p)
     ig, jg, rg = _split(g)
-    quo, rem = _rdivmod(rp, rg)
-    if rem or ip < ig or jp < jg:
+    quo = rp if len(rg) == 1 else _iexquo(rp, rg)  # a primitive rg of length 1 is (1,)
+    if ip < ig or jp < jg:
         raise ArithmeticError("inexact polynomial division")
-    return _form(p.d - g.d, (_ZERO,) * (jp - jg) + quo)
+    return _form(p.d - g.d, p.c / g.c, (0,) * (jp - jg) + quo)
 
 
 # ---------------------------------------------------------------------------
@@ -348,32 +410,32 @@ class EquivariantScalar:
     """Canonical ratio of two binary forms; its degree is their difference.
 
     Invariants: the denominator is nonzero, ``gcd(num, den) = 1``, and the
-    denominator has coprime integer coefficients with positive graded-lex
-    leading coefficient.  Zero is stored as ``0/1``.
+    denominator has content 1, so its row is its coefficients: coprime
+    integers with a positive graded-lex leading one.  Zero is stored as
+    ``0/1``.
     """
 
     __slots__ = ("num", "den")
 
     def __init__(self, num: WeightPoly, den: WeightPoly | None = None):
         if den is None:
-            den = _ONE_POLY
-        if den.is_zero():
-            raise DivisionByZero("zero denominator")
-        if num.is_zero():
-            self.num, self.den = WeightPoly.zero(), _ONE_POLY
+            self.num, self.den = num, _ONE_POLY
             return
-        dc = den.as_const()
-        if dc is not None:
-            self.num, self.den = num.scale(1 / dc), _ONE_POLY
+        if not den.row:
+            raise DivisionByZero("zero denominator")
+        if not num.row:
+            self.num, self.den = _ZERO_FORM, _ONE_POLY
+            return
+        if den.d == 0:
+            self.num, self.den = num.scale(1 / den.c), _ONE_POLY
             return
         g = poly_gcd(num, den)
-        if g.as_const() != Fraction(1):
+        if g.d:
             num = poly_divexact(num, g)
             den = poly_divexact(den, g)
-        c = _rational_content(den)
-        if c != 1:
-            num = num.scale(1 / c)
-            den = den.scale(1 / c)
+        if den.c != 1:
+            num = num.scale(1 / den.c)
+            den = _form(den.d, _ONE, den.row)
         self.num, self.den = num, den
 
     # -- constructors ---------------------------------------------------------
@@ -394,11 +456,7 @@ class EquivariantScalar:
 
     def is_constant(self) -> Optional[Fraction]:
         """The constant value, or None when weight symbols survive."""
-        nc = self.num.as_const()
-        dc = self.den.as_const()
-        if nc is None or dc is None:
-            return None
-        return nc / dc
+        return self.num.c if self.num.d == 0 and self.den.d == 0 else None
 
     # -- arithmetic ---------------------------------------------------------------
     def __add__(self, other: "EquivariantScalar") -> "EquivariantScalar":
@@ -427,9 +485,44 @@ class EquivariantScalar:
         return self + (-other)
 
     def __mul__(self, other: "EquivariantScalar") -> "EquivariantScalar":
-        if self.is_zero() or other.is_zero():
+        if not self.num.row or not other.num.row:
             return ES_ZERO
+        c = other.is_constant()
+        if c is not None:
+            return self.scale(c)
+        c = self.is_constant()
+        if c is not None:
+            return other.scale(c)
         return EquivariantScalar(self.num * other.num, self.den * other.den)
+
+    @staticmethod
+    def dot(
+        pairs: Sequence[tuple["EquivariantScalar", "EquivariantScalar"]]
+    ) -> "EquivariantScalar":
+        """``sum(a * b for a, b in pairs)``, reduced once per denominator.
+
+        The raw products ``a.num * b.num / (a.den * b.den)`` are grouped by
+        raw denominator; each group's numerators are added unreduced, and
+        only the group's sum is brought to canonical form.  Products of
+        mixed degree are added one at a time instead, so that they raise,
+        or cancel, exactly as that sum does.
+        """
+        groups: dict[WeightPoly, list[WeightPoly]] = {}
+        degrees = set()
+        for a, b in pairs:
+            if a.num.row and b.num.row:
+                num, den = a.num * b.num, a.den * b.den
+                groups.setdefault(den, []).append(num)
+                degrees.add(num.d - den.d)
+        total = ES_ZERO
+        if len(degrees) > 1:
+            for a, b in pairs:
+                total = total + a * b
+            return total
+        for den, nums in groups.items():
+            num = nums[0] if len(nums) == 1 else _sum_forms(nums[0].d, nums)
+            total = total + EquivariantScalar(num, den)
+        return total
 
     def __truediv__(self, other: "EquivariantScalar") -> "EquivariantScalar":
         if other.is_zero():
@@ -457,18 +550,24 @@ class EquivariantScalar:
         return out
 
     def scale(self, c: Rational) -> "EquivariantScalar":
-        if c == 0:
+        if not c:
             return ES_ZERO
         res = EquivariantScalar.__new__(EquivariantScalar)
-        res.num, res.den = self.num.scale(Fraction(c)), self.den
+        res.num, res.den = self.num.scale(c), self.den
         return res
 
     def eval_at(self, weights: Iterable[Rational]) -> Fraction:
         w1, w2 = [Fraction(w) for w in weights]
-        d = self.den.eval_at(w1, w2)
-        if d == 0:
+        x, y = w1.numerator * w2.denominator, w2.numerator * w1.denominator
+        sd = _hsum(self.den, x, y)
+        if not sd:
             raise DenominatorVanishes(f"denominator vanishes at ({w1}, {w2})")
-        return self.num.eval_at(w1, w2) / d
+        # num/den = c * (sn / q^dn) / (sd / q^dd), q = the weights' denominators
+        c, sn = self.num.c, _hsum(self.num, x, y)
+        q, e = w1.denominator * w2.denominator, self.den.d - self.num.d
+        if e >= 0:
+            return Fraction(c.numerator * sn * q**e, c.denominator * sd)
+        return Fraction(c.numerator * sn, c.denominator * sd * q**-e)
 
     def swap_weights(self) -> "EquivariantScalar":
         return EquivariantScalar(self.num.swap_weights(), self.den.swap_weights())
