@@ -498,7 +498,7 @@ def assemble_example_3(delta) -> VerificationReport:
         "implied relative invariant / delta!",
         show(implied),
         "(1.14)",
-        expected=show(IDENTITY_1_14) if symbolic else None,
+        expected=show(IDENTITY_1_14),
     )
     _identity_items(report, delta, implied, IDENTITY_1_14, "(1.14)")
     if symbolic or int(delta) == 1:

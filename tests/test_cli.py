@@ -150,9 +150,9 @@ def test_scalar_output_golden(capsys):
         ("verify", "--example", "2", "--delta", "3"):
             "3ab6fecd8acf4e1c7b55c9858fc01c26254dfb5e6d20fd84cbcd288863168365",
         ("verify", "--example", "3", "--delta", "1"):
-            "c5778d387f7aa74dcf27537df218a549dadffab6203a7bf0f1d0003762ed67e8",
+            "9ea27232b99d410f872d149b0550e56909f905727798a639714213937ad2cd82",
         ("verify", "--example", "3", "--delta", "4"):
-            "9c24f3db23ecc174d90fd78bce9ab92eda12de73869577fb2dba6b260023bb18",
+            "03dbe6221c7bce4c32260eb457ee466f6eda368f6e7203ef4e2f99328095e635",
         ("verify", "--example", "1", "--delta", "3", "--n", "3"):
             "cfc39884976ca6cbb253c51542b4c0407bb2cc8b4dd63813a10b15df2a75ee32",
     }

@@ -301,3 +301,13 @@ def test_example3_numeric_reports():
     for delta in (1, 2, 5):
         report = assemble_example(3, delta)
         assert report.status == "PASS", report.to_text()
+
+
+def test_example3_numeric_identity_is_checked():
+    # at a numeric degree the implied relative invariant is compared with
+    # (1.14) at that degree, as example 2 compares it with (1.13)
+    label = "implied relative invariant / delta!"
+    for delta in range(1, 13):
+        report = assemble_example(3, delta)
+        (item,) = [i for i in report.items if i.label == label]
+        assert item.ok is True, report.to_text()
