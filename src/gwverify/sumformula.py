@@ -132,7 +132,7 @@ def vir_dim(setting: GwSetting, s: Optional[Sequence[int]] = None) -> int:
     return 2 * (base + len(s) - sum(s))
 
 
-def hollow_sufficient(n: int, g: int, candidates: Iterable[tuple[int, int, int]]) -> bool:
+def hollow_sufficient(n: int, candidates: Iterable[tuple[int, int, int]]) -> bool:
     """Sufficient hollowness criterion: every candidate class satisfies
     A'.V > <c1(X), A'> + (n-4)(1-g'); candidates are (g', c1A', A'.V)."""
     return all(

@@ -58,10 +58,10 @@ def test_vir_dim_all_ones_property():
 
 def test_hollow_sufficient():
     # degree-6 hypersurface: 6d > 5d always
-    assert hollow_sufficient(4, 3, p4_line_candidates(6, 3))
+    assert hollow_sufficient(4, p4_line_candidates(6, 3))
     # degree-5: 5d > 5d fails
-    assert not hollow_sufficient(4, 3, p4_line_candidates(5, 3))
-    assert hollow_sufficient(4, 3, [])
+    assert not hollow_sufficient(4, p4_line_candidates(5, 3))
+    assert hollow_sufficient(4, [])
 
 
 def test_stability_sufficient():
