@@ -657,9 +657,13 @@ class DeltaPoly:
         c = self._lift(other).as_const()
         if c is None:
             raise ValueError("division only by constants")
+        if not c:
+            raise DivisionByZero("division of a delta polynomial by zero")
         return self * (1 / c)
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative power of a polynomial")
         out = DeltaPoly([1])
         for _ in range(n):
             out = out * self
