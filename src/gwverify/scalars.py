@@ -262,8 +262,10 @@ class WeightPoly:
 
     def eval_at(self, w1: Rational, w2: Rational) -> Fraction:
         w1, w2 = Fraction(w1), Fraction(w2)
+        # the form at (x/q, y/q) is c * sum(row[k] * x^(d-k) * y^k) / q^d
+        x, y = w1.numerator * w2.denominator, w2.numerator * w1.denominator
         q = w1.denominator * w2.denominator
-        s = _hsum(self, w1.numerator * w2.denominator, w2.numerator * w1.denominator)
+        s = sum(r * x ** (self.d - k) * y**k for k, r in enumerate(self.row) if r)
         return Fraction(self.c.numerator * s, self.c.denominator * q**self.d)
 
     def swap_weights(self) -> "WeightPoly":
@@ -332,20 +334,6 @@ def _sum_forms(d: int, forms: Sequence[WeightPoly]) -> WeightPoly:
             if x:
                 acc[i] += k * x
     return _canon(d, acc, den)
-
-
-def _hsum(p: WeightPoly, x: int, y: int) -> int:
-    """``sum(row[k] * x^(d-k) * y^k)``: the row of p at the integers x, y."""
-    row = p.row
-    total, yk = 0, 1
-    xs = [1]
-    for _ in range(p.d):
-        xs.append(xs[-1] * x)
-    for k, r in enumerate(row):
-        if r:
-            total += r * xs[p.d - k] * yk
-        yk *= y
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -558,16 +546,10 @@ class EquivariantScalar:
 
     def eval_at(self, weights: Iterable[Rational]) -> Fraction:
         w1, w2 = [Fraction(w) for w in weights]
-        x, y = w1.numerator * w2.denominator, w2.numerator * w1.denominator
-        sd = _hsum(self.den, x, y)
-        if not sd:
+        d = self.den.eval_at(w1, w2)
+        if d == 0:
             raise DenominatorVanishes(f"denominator vanishes at ({w1}, {w2})")
-        # num/den = c * (sn / q^dn) / (sd / q^dd), q = the weights' denominators
-        c, sn = self.num.c, _hsum(self.num, x, y)
-        q, e = w1.denominator * w2.denominator, self.den.d - self.num.d
-        if e >= 0:
-            return Fraction(c.numerator * sn * q**e, c.denominator * sd)
-        return Fraction(c.numerator * sn, c.denominator * sd * q**-e)
+        return self.num.eval_at(w1, w2) / d
 
     def swap_weights(self) -> "EquivariantScalar":
         return EquivariantScalar(self.num.swap_weights(), self.den.swap_weights())
