@@ -239,8 +239,10 @@ def _ref_str(t):
         a = abs(c)
         num = str(a.numerator) if a.denominator == 1 else f"{a.numerator}/{a.denominator}"
         body = num if not mono else mono if a == 1 else f"{num}*{mono}"
-        sign = "-" if c < 0 else "+"
-        out.append(f"{sign}{body}" if not out and c < 0 else body if not out else f"{sign} {body}")
+        if out:
+            out.append(f"{'-' if c < 0 else '+'} {body}")
+        else:
+            out.append(f"-{body}" if c < 0 else body)
     return " ".join(out)
 
 
