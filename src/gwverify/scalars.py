@@ -82,12 +82,6 @@ def _rmul(p: Row, q: Row) -> Row:
     return tuple(out)  # the top coefficient is p[-1] * q[-1], never 0
 
 
-def _primitive(row: Sequence[int]) -> Row:
-    """An integer row divided by the gcd of its entries."""
-    g = _int_gcd(*row)
-    return tuple(x // g for x in row) if g > 1 else tuple(row)
-
-
 def _prem(p: Sequence[int], q: Row) -> list[int]:
     """The remainder of an integer row p by q, up to a nonzero integer factor."""
     rem = list(p)
@@ -110,8 +104,8 @@ def _igcd(p: Row, q: Row) -> Row:
     """Gcd of two primitive integer rows with nonzero first entries, by a
     primitive remainder sequence; primitive, with a positive first entry."""
     while q:
-        p, q = q, _primitive(_prem(p, q))
-    return p if p[0] > 0 else tuple(-x for x in p)
+        p, q = q, _canon(0, _prem(p, q)).row
+    return p
 
 
 def _iexquo(p: Row, q: Row) -> Row:
