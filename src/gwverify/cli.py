@@ -55,6 +55,21 @@ def degree(text: str) -> int:
     return value
 
 
+def weight_pair(text: str) -> str:
+    """The `--eval` weights w1,w2: two rationals, checked before any locus
+    is computed.  The text is returned as typed, since the report labels
+    the evaluation with it."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise argparse.ArgumentTypeError("--eval takes two weights w1,w2")
+    try:
+        for part in parts:
+            rat_from_str(part)
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
+
+
 def _space(name: str):
     name = name.upper()
     if not name.startswith("P") or not name[1:].isdigit():
@@ -240,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"diagram file path or builtin name ({', '.join(sorted(builtin_names()))})",
     )
     p.add_argument("--expect", default=None, help="expected total p/q")
-    p.add_argument("--eval", default=None, help="numeric weight pair w1,w2")
+    p.add_argument("--eval", type=weight_pair, default=None, help="numeric weight pair w1,w2")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_localize)
 

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 from .errors import BaseMismatch, GenusOutOfRange, NonInvertible
 from .hodge import (
@@ -120,6 +121,13 @@ class BaseSpace:
 
     def zero_mono(self) -> Mono:
         return tuple((0,) * f.exps() for f in self.factors)
+
+    @cached_property
+    def products(self) -> dict[tuple[Mono, Mono], Optional[Mono]]:
+        """Monomial products by pair, filled by :meth:`TautClass.__mul__` on
+        first use: the sum of the two exponent tuples, or None where the
+        ring truncates it."""
+        return {}
 
     def __str__(self) -> str:
         return " x ".join(str(f) for f in self.factors) if self.factors else "pt"
@@ -238,12 +246,17 @@ class TautClass:
     def __mul__(self, other: "TautClass") -> "TautClass":
         self._require_same_base(other)
         pairs: dict[Mono, list[tuple[EquivariantScalar, EquivariantScalar]]] = {}
+        products = self.base.products
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                m = tuple(
-                    tuple(a + b for a, b in zip(e1, e2)) for e1, e2 in zip(m1, m2)
-                )
-                if _mono_ok(self.base, m):
+                try:
+                    m = products[m1, m2]
+                except KeyError:
+                    m = tuple(
+                        tuple(a + b for a, b in zip(e1, e2)) for e1, e2 in zip(m1, m2)
+                    )
+                    m = products[m1, m2] = m if _mono_ok(self.base, m) else None
+                if m is not None:
                     pairs.setdefault(m, []).append((c1, c2))
         res = TautClass(self.base)
         for m, ps in pairs.items():

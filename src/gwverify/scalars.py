@@ -234,7 +234,13 @@ class WeightPoly:
         if not self.row or not other.row:
             return _ZERO_FORM
         # Gauss's lemma: the product of primitive rows with positive leads is one
-        return _form(self.d + other.d, self.c * other.c, _rmul(self.row, other.row))
+        if self.c is _ONE:
+            c = other.c
+        elif other.c is _ONE:
+            c = self.c
+        else:
+            c = self.c * other.c
+        return _form(self.d + other.d, c, _rmul(self.row, other.row))
 
     def scale(self, c: Rational) -> "WeightPoly":
         if not c or not self.row:
@@ -314,7 +320,8 @@ def _canon(d: int, row: Sequence[int], den: int = 1) -> WeightPoly:
         g = -g
     if g != 1:
         row = tuple(x // g for x in row)
-    return _form(d, Fraction(g, den), row)
+    # the shared _ONE lets products skip multiplying by a content of 1
+    return _form(d, _ONE if g == den else Fraction(g, den), row)
 
 
 def _sum_forms(d: int, forms: Sequence[WeightPoly]) -> WeightPoly:

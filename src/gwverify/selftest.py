@@ -54,6 +54,7 @@ from .sumformula import (
     GwSetting,
     assemble_example,
     example_graphs,
+    surviving_graphs,
     thm1_verdict,
 )
 
@@ -230,13 +231,17 @@ def criterion_9_genus1_consistency():
 
 def criterion_10_graph_counts():
     """surviving graph counts match the figures: 1+delta and 2"""
+    counts = {}
+    for example_id, delta in [(2, d) for d in range(1, 8)] + [(3, 5)]:
+        surviving = [graph for graph, keep in example_graphs(example_id, delta) if keep]
+        if surviving_graphs(example_id, delta) != surviving:
+            return False, f"example {example_id}, degree {delta}: pruned and filtered graphs differ"
+        counts[example_id, delta] = len(surviving)
     for delta in range(1, 8):
-        surviving = sum(keep for _, keep in example_graphs(2, delta))
-        if surviving != 1 + delta:
-            return False, f"degree {delta}: {surviving} graphs survive"
-    surviving = sum(keep for _, keep in example_graphs(3, 5))
-    if surviving != 2:
-        return False, f"hypersurface case: {surviving} graphs survive"
+        if counts[2, delta] != 1 + delta:
+            return False, f"degree {delta}: {counts[2, delta]} graphs survive"
+    if counts[3, 5] != 2:
+        return False, f"hypersurface case: {counts[3, 5]} graphs survive"
     return True, "counts are 1+delta (delta <= 7) and 2"
 
 

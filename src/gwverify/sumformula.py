@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .chern import (
     degree_correction_genus3,
@@ -205,11 +205,20 @@ def _partitions(total: int, max_part: Optional[int] = None):
             yield (first,) + rest
 
 
-def _vertex_shapes(weight: int, loops: int):
+def _vertex_shapes(weight: int, loops: int, allowed=None):
     """Multisets of (d_v, labels) vertex decorations absorbing the weight, each
     a descending tuple built once; a vertex with e labels closes e - 1 loops
-    of the graph, and shapes closing more than `loops` are pruned."""
-    types = sorted(((d, ls) for d in range(1, weight + 1) for ls in _partitions(d)), reverse=True)
+    of the graph, and shapes closing more than `loops` are pruned, as are
+    shapes using a decoration that `allowed(d, labels)` rejects."""
+    types = sorted(
+        (
+            (d, ls)
+            for d in range(1, weight + 1)
+            for ls in _partitions(d)
+            if len(ls) - 1 <= loops and (allowed is None or allowed(d, ls))
+        ),
+        reverse=True,
+    )
 
     def rec(start, left, loops_left):
         if left == 0:
@@ -224,12 +233,23 @@ def _vertex_shapes(weight: int, loops: int):
     return rec(0, weight, loops)
 
 
-def enumerate_graphs(g: int, AdotV: int, k: int, components: int) -> list[BipartiteGraph]:
+def enumerate_graphs(
+    g: int,
+    AdotV: int,
+    k: int,
+    components: int,
+    keep: Optional[Callable[[GraphVertex, tuple[int, ...]], bool]] = None,
+) -> list[BipartiteGraph]:
     """All decorated bipartite graphs for the setting, up to isomorphism,
     each generated once.  The X-vertex has degree one and carries every
     marked point.  The divisor is connected when components is 1; otherwise
     it has A.V components, each met with weight one, which stay
-    distinguishable."""
+    distinguishable.
+
+    With a per-V-vertex predicate ``keep(vertex, labels)``, only the graphs
+    whose every V-vertex passes it are built, in the same order as in the
+    full list: a genus no vertex decoration may take is never assigned, and
+    a decoration no genus can pass never enters a shape."""
     if AdotV < 0:
         raise ValueError("A.V must be nonnegative")
     if g > MAX_GRAPH_GENUS or AdotV > MAX_GRAPH_WEIGHT:
@@ -243,6 +263,8 @@ def enumerate_graphs(g: int, AdotV: int, k: int, components: int) -> list[Bipart
             BipartiteGraph(GraphVertex("X", g, 0, k), (), ()),
             BipartiteGraph(None, (GraphVertex("V", g, 0, k),), ((),)),
         ]
+        if keep is not None:
+            out = [graph for graph in out if all(map(keep, graph.v_vertices, graph.labels))]
         for graph in out:
             graph.validate(g, 0, k)
         return out
@@ -250,15 +272,27 @@ def enumerate_graphs(g: int, AdotV: int, k: int, components: int) -> list[Bipart
         if AdotV != components:
             raise ValueError("disconnected divisors carry weight one per component")
         weights = [1] * components
+        comps = range(1, components + 1)
     else:
         weights = [AdotV]
+        comps = [0]
     # one frozen vertex per decoration, shared by every graph that uses it
     v_pool: dict = {}
+
+    def vertex(gv, d, comp):
+        key = (gv, d, comp)
+        return v_pool.get(key) or v_pool.setdefault(key, GraphVertex("V", gv, d, 0, comp))
+
+    def allowed(comp):
+        if keep is None:
+            return None
+        return lambda d, labels: any(keep(vertex(gv, d, comp), labels) for gv in range(g + 1))
+
     graphs: list[BipartiteGraph] = []
-    for shapes in product(*(_vertex_shapes(w, g) for w in weights)):
+    for shapes in product(*(_vertex_shapes(w, g, allowed(c)) for w, c in zip(weights, comps))):
         vertices = [
-            (comp if components > 1 else 0, d, labels)
-            for comp, shape in enumerate(shapes, start=1)
+            (comp, d, labels)
+            for comp, shape in zip(comps, shapes)
             for d, labels in shape
         ]
         budget = g - sum(len(labels) - 1 for _, _, labels in vertices)
@@ -272,12 +306,12 @@ def enumerate_graphs(g: int, AdotV: int, k: int, components: int) -> list[Bipart
             if i == len(vertices):
                 graphs.append(BipartiteGraph(GraphVertex("X", left, 1, k), tuple(acc), labels))
                 return
-            comp, d, _ = vertices[i]
+            comp, d, ls = vertices[i]
             lo = acc[-1].genus if i and vertices[i] == vertices[i - 1] else 0
             for gv in range(lo, left + 1):
-                key = (gv, d, comp)
-                vertex = v_pool.get(key) or v_pool.setdefault(key, GraphVertex("V", gv, d, 0, comp))
-                genera(i + 1, left - gv, acc + [vertex])
+                v = vertex(gv, d, comp)
+                if keep is None or keep(v, ls):
+                    genera(i + 1, left - gv, acc + [v])
 
         genera(0, budget, [])
     graphs.sort(key=BipartiteGraph.describe)
@@ -286,49 +320,73 @@ def enumerate_graphs(g: int, AdotV: int, k: int, components: int) -> list[Bipart
     return graphs
 
 
+def vertex_contributes(
+    vertex: GraphVertex, labels: tuple[int, ...], n: int, kappa_trivial: bool, g_top: int
+) -> bool:
+    """The vanishing rule for one V-vertex: it contributes iff it is the basic
+    (0, 1, 0, (1)) vertex or the single admissible top-genus vertex of the
+    counter-example regime."""
+    if vertex.genus == 0 and vertex.degree == 1 and vertex.marks == 0 and labels == (1,):
+        return True  # the basic vertex
+    if vertex.genus == 0:
+        return False  # wrong-shape genus-0 vertex never contributes
+    if vertex.genus < g_top:
+        return False  # intermediate genera vanish
+    if vertex.genus > g_top:
+        return False
+    # the exceptional top-genus vertex must have the single-edge,
+    # label-1, no-marks shape ...
+    if labels != (1,) or vertex.marks != 0:
+        return False
+    # ... and is admitted only where the vanishing lemma's hypotheses
+    # fail for (g_v, d_v) and the regime matches a counter-example
+    if (vertex.genus, vertex.degree) != (1, 0) and (n - 5) * vertex.genus * (vertex.genus - 1) >= 0:
+        return False
+    return not (kappa_trivial and n != 4)
+
+
 def vanishing_filter(
     graph: BipartiteGraph, n: int, kappa_trivial: bool, g_top: int
 ) -> bool:
-    """Keep the graph iff every V-vertex is the basic (0, 1, 0, (1)) vertex or
-    the single admissible top-genus vertex of the counter-example regime."""
-    for v, labels in zip(graph.v_vertices, graph.labels):
-        basic = v.genus == 0 and v.degree == 1 and v.marks == 0 and labels == (1,)
-        if basic:
-            continue
-        if v.genus == 0:
-            return False  # wrong-shape genus-0 vertex never contributes
-        if v.genus < g_top:
-            return False  # intermediate genera vanish
-        if v.genus > g_top:
-            return False
-        # the exceptional top-genus vertex must have the single-edge,
-        # label-1, no-marks shape ...
-        if labels != (1,) or v.marks != 0:
-            return False
-        # ... and is admitted only where the vanishing lemma's hypotheses
-        # fail for (g_v, d_v) and the regime matches a counter-example
-        if (v.genus, v.degree) != (1, 0) and (n - 5) * v.genus * (v.genus - 1) >= 0:
-            return False
-        if kappa_trivial and n != 4:
-            return False
-    return True
+    """Keep the graph iff every V-vertex passes :func:`vertex_contributes`."""
+    return all(
+        vertex_contributes(v, labels, n, kappa_trivial, g_top)
+        for v, labels in zip(graph.v_vertices, graph.labels)
+    )
+
+
+def _example_setting(example_id: int, delta: int) -> tuple[int, int, int, bool, int]:
+    """(g, k, n, kappa_trivial, components) of worked example 2 (genus 2,
+    two marks, delta divisor points, kappa nontrivial, n = 1) or 3 (genus 3,
+    one mark, a connected divisor of degree delta, kappa trivial, n = 4)."""
+    if example_id == 2:
+        return 2, 2, 1, False, delta
+    if example_id == 3:
+        return 3, 1, 4, True, 1
+    raise ValueError(f"degeneration graphs exist for examples 2 and 3, not {example_id}")
 
 
 def example_graphs(example_id: int, delta: int) -> list[tuple[BipartiteGraph, bool]]:
-    """The degeneration graphs of worked example 2 (genus 2, two marks,
-    delta divisor points, kappa nontrivial, n = 1) or 3 (genus 3, one mark,
-    a connected divisor of degree delta, kappa trivial, n = 4), each paired
-    with whether it survives the vanishing filter."""
-    if example_id == 2:
-        g, k, n, kappa_trivial, components = 2, 2, 1, False, delta
-    elif example_id == 3:
-        g, k, n, kappa_trivial, components = 3, 1, 4, True, 1
-    else:
-        raise ValueError(f"degeneration graphs exist for examples 2 and 3, not {example_id}")
+    """Every degeneration graph of worked example 2 or 3, each paired with
+    whether it survives the vanishing filter."""
+    g, k, n, kappa_trivial, components = _example_setting(example_id, delta)
     return [
         (graph, vanishing_filter(graph, n, kappa_trivial, g_top=g))
         for graph in enumerate_graphs(g, delta, k, components)
     ]
+
+
+def surviving_graphs(example_id: int, delta: int) -> list[BipartiteGraph]:
+    """The graphs of :func:`example_graphs` that survive the vanishing
+    filter, in the same order; the vanishing ones are never built."""
+    g, k, n, kappa_trivial, components = _example_setting(example_id, delta)
+    return enumerate_graphs(
+        g,
+        delta,
+        k,
+        components,
+        keep=lambda vertex, labels: vertex_contributes(vertex, labels, n, kappa_trivial, g),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -400,7 +458,7 @@ def assemble_example_1(n: int, delta, alpha_mult=1) -> VerificationReport:
 
 
 def _graph_items(report, example_id, delta, expected_count):
-    surviving = [graph for graph, keep in example_graphs(example_id, delta) if keep]
+    surviving = surviving_graphs(example_id, delta)
     report.add(
         "surviving degeneration graphs",
         str(len(surviving)),

@@ -4,7 +4,7 @@ import os
 import shutil
 from pathlib import Path
 
-from gwverify import hodge, localization
+from gwverify import cli, hodge, localization
 from gwverify.cli import main
 
 
@@ -185,6 +185,17 @@ def test_zero_denominator_is_a_usage_error(capsys):
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and "zero denominator in '1/0'" in err, argv
+
+
+def test_eval_takes_two_weights(capsys, monkeypatch):
+    # the weights are checked before the diagram is loaded or any locus computed
+    def no_work(name):
+        raise AssertionError(f"diagram {name} loaded before --eval was checked")
+
+    monkeypatch.setattr(cli, "resolve_problem", no_work)
+    for value in ("1", "1,2,3"):
+        code, out, err = run(capsys, "localize", "--config", "fig7", "--eval", value)
+        assert code == 2 and out == "" and "--eval takes two weights w1,w2" in err, value
 
 
 def test_invalid_setting_is_a_usage_error(capsys):

@@ -1,8 +1,10 @@
+import random
 from collections import Counter
 from itertools import product
 
 import pytest
 
+from gwverify import sumformula
 from gwverify.errors import ContactMismatch, ResourceBound
 from gwverify.sumformula import (
     GUARANTEED,
@@ -17,6 +19,7 @@ from gwverify.sumformula import (
     hollow_sufficient,
     p4_line_candidates,
     stability_sufficient,
+    surviving_graphs,
     thm1_verdict,
     vanishing_filter,
     vir_dim,
@@ -200,6 +203,50 @@ def test_enumeration_matches_brute_force():
                 ]
                 assert len(set(keys)) == len(keys), (g, AdotV, components)  # no graph twice
                 assert set(keys) == _brute_force_keys(g, AdotV, 1, components), (g, AdotV, components)
+
+
+def test_surviving_graphs_match_the_filter():
+    for example in (2, 3):
+        for delta in range(1, 13):
+            pruned = [g.describe() for g in surviving_graphs(example, delta)]
+            filtered = [g.describe() for g, keep in example_graphs(example, delta) if keep]
+            assert pruned == filtered, (example, delta)
+
+
+def test_pruned_enumeration_matches_the_filter_under_random_predicates():
+    rng = random.Random(20)
+    for g in range(4):
+        for AdotV in range(9):
+            for components in sorted({1, AdotV}):
+                for k in range(3):
+                    # a random but fixed subset of the vertex decorations
+                    share, salt, drawn = rng.choice((0.3, 0.6, 0.9)), rng.random(), {}
+
+                    def keep(vertex, labels):
+                        key = (vertex, labels)
+                        if key not in drawn:
+                            drawn[key] = random.Random(repr((salt, key))).random() < share
+                        return drawn[key]
+
+                    full = enumerate_graphs(g, AdotV, k, components)
+                    filtered = [gr for gr in full if all(map(keep, gr.v_vertices, gr.labels))]
+                    pruned = enumerate_graphs(g, AdotV, k, components, keep=keep)
+                    assert pruned == filtered, (g, AdotV, components, k)
+
+
+def test_assembly_builds_only_the_surviving_graphs(monkeypatch):
+    # the assembly must not fall back to enumerating every graph and filtering
+    built = []
+    enumerate_all = sumformula.enumerate_graphs
+
+    def counting(*args, **kwargs):
+        graphs = enumerate_all(*args, **kwargs)
+        built.extend(graphs)
+        return graphs
+
+    monkeypatch.setattr(sumformula, "enumerate_graphs", counting)
+    assert assemble_example(3, 12).status == "PASS"
+    assert 0 < len(built) <= 2
 
 
 def test_negative_degree_rejected():
