@@ -25,7 +25,7 @@ from .errors import (
 )
 from .hodge import HodgeMonomial, hodge_intersect
 from .localization import (
-    builtin_names,
+    BUILTIN_ALIASES,
     locus_contribution,
     problem_numeric_total,
     problem_total,
@@ -136,7 +136,7 @@ def cmd_gw10(args) -> int:
 def cmd_localize(args) -> int:
     problem = resolve_problem(args.config)
     report = VerificationReport(command=f"localize {problem.label}")
-    for spec in sorted(problem.loci, key=lambda s: s.label):
+    for spec in problem.loci:
         if spec.vanishes is not None:
             report.add(f"locus {spec.label}", f"vanishes ({spec.vanishes})", spec.source)
             continue
@@ -252,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--config",
         required=True,
-        help=f"diagram file path or builtin name ({', '.join(sorted(builtin_names()))})",
+        help=f"diagram file path or builtin name ({', '.join(sorted(BUILTIN_ALIASES))})",
     )
     p.add_argument("--expect", default=None, help="expected total p/q")
     p.add_argument("--eval", type=weight_pair, default=None, help="numeric weight pair w1,w2")
@@ -262,9 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graphs", help="degeneration graphs for the worked examples")
     p.add_argument("--example", type=int, required=True, choices=(2, 3))
     p.add_argument("--delta", type=degree, required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--all", action="store_true", default=True)
-    group.add_argument("--surviving", action="store_true")
+    p.add_argument("--surviving", action="store_true")
     p.set_defaults(fn=cmd_graphs)
 
     p = sub.add_parser("thm1", help="guarantee verdict for a setting")

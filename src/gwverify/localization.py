@@ -73,7 +73,7 @@ class LocusTerm:
     note: str = ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FixedLocusSpec:
     label: str
     source: str = ""
@@ -84,7 +84,7 @@ class FixedLocusSpec:
 @dataclass(frozen=True)
 class LocalizationProblem:
     label: str
-    loci: tuple[FixedLocusSpec, ...]
+    loci: tuple[FixedLocusSpec, ...]  # in label order: the order of sums and reports
     symmetry_multiplier: Fraction = Fraction(1)
     weight_swap: bool = False
     expected: Optional[Fraction] = None
@@ -100,16 +100,18 @@ def _term_contribution(term: LocusTerm) -> EquivariantScalar:
     return tc_integrate(integrand).scale(term.multiplicity)
 
 
-# contributions cached by the identity of their spec; an entry is dropped
-# when its spec is collected, so an id in the cache always names a live spec
-_CONTRIB_CACHE: dict[int, EquivariantScalar] = {}
+# contributions cached per spec object (specs compare by identity); an
+# entry goes when its spec is collected
+_CONTRIB_CACHE: weakref.WeakKeyDictionary[FixedLocusSpec, EquivariantScalar] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def locus_contribution(spec: FixedLocusSpec) -> EquivariantScalar:
     """The exact contribution of one non-vanishing fixed locus."""
     if spec.vanishes is not None:
         raise ValueError(f"locus {spec.label!r} is tagged vanishing: {spec.vanishes}")
-    cached = _CONTRIB_CACHE.get(id(spec))
+    cached = _CONTRIB_CACHE.get(spec)
     if cached is not None:
         return cached
     total = ES_ZERO
@@ -118,8 +120,7 @@ def locus_contribution(spec: FixedLocusSpec) -> EquivariantScalar:
             total = total + _term_contribution(term)
     except Inhomogeneous as exc:
         raise SchemaError(f"locus {spec.label!r}: {exc}") from exc
-    _CONTRIB_CACHE[id(spec)] = total
-    weakref.finalize(spec, _CONTRIB_CACHE.pop, id(spec), None)
+    _CONTRIB_CACHE[spec] = total
     return total
 
 
@@ -141,7 +142,7 @@ def problem_total(problem: LocalizationProblem) -> Fraction:
 def problem_symbolic_total(problem: LocalizationProblem) -> EquivariantScalar:
     """The total before the constancy assertion (for numeric spot checks)."""
     total = ES_ZERO
-    for spec in sorted(problem.loci, key=lambda s: s.label):
+    for spec in problem.loci:
         if spec.vanishes is not None:
             continue
         total = total + locus_contribution(spec)
@@ -163,7 +164,7 @@ def problem_numeric_total(problem: LocalizationProblem, weights) -> Fraction:
     w1, w2 = (Fraction(w) for w in weights)
     points = [(w1, w2), (w2, w1)] if problem.weight_swap else [(w1, w2)]
     total = Fraction(0)
-    for spec in sorted(problem.loci, key=lambda s: s.label):
+    for spec in problem.loci:
         if spec.vanishes is not None:
             continue
         contribution = locus_contribution(spec)
@@ -254,7 +255,7 @@ def parse_problem(payload: dict, where: str) -> LocalizationProblem:
     raw_loci = payload.get("loci")
     if not isinstance(raw_loci, list) or not raw_loci:
         raise SchemaError(f"{where}: a problem needs at least one locus")
-    loci = tuple(_parse_locus(raw, where) for raw in raw_loci)
+    loci = tuple(sorted((_parse_locus(raw, where) for raw in raw_loci), key=lambda s: s.label))
     try:
         mult = rat_from_str(str(payload.get("symmetry_multiplier", "1")))
     except ValueError as exc:
@@ -305,10 +306,6 @@ def reset_problems() -> None:
     """Drop cached problems (used after changing GWVERIFY_DATA_DIR)."""
     _PROBLEM_CACHE.clear()
     _CONTRIB_CACHE.clear()
-
-
-def builtin_names() -> list[str]:
-    return sorted(set(BUILTIN_ALIASES.values()))
 
 
 def resolve_problem(spec: str) -> LocalizationProblem:

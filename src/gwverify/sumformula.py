@@ -169,16 +169,23 @@ class Verdict:
         return f"{self.status} (see Example {self.counter_example})"
 
 
+def lemma_applies(n: int, g: int, A_is_zero: bool) -> bool:
+    """The hypotheses of the vanishing lemma: (g, A) != (1, 0) and
+    (n-5)g(g-1) >= 0.  Where they hold the comparison is guaranteed, and a
+    top-genus divisor vertex of that genus and degree vanishes."""
+    return not (g == 1 and A_is_zero) and (n - 5) * g * (g - 1) >= 0
+
+
 def thm1_verdict(setting: GwSetting) -> Verdict:
     """Does the absolute/relative comparison hold for this setting?
 
-    guaranteed when (g, A) != (1, 0) and (n-5)g(g-1) >= 0; otherwise
-    guaranteed for primary insertions when kappa is trivial, A != 0, and
-    g = 2 or n != 4; otherwise not guaranteed, pointing at the
-    counter-example family for the failing regime.
+    guaranteed where :func:`lemma_applies`; otherwise guaranteed for
+    primary insertions when kappa is trivial, A != 0, and g = 2 or n != 4;
+    otherwise not guaranteed, pointing at the counter-example family for
+    the failing regime.
     """
     n, g = setting.n, setting.g
-    if not (g == 1 and setting.A_is_zero) and (n - 5) * g * (g - 1) >= 0:
+    if lemma_applies(n, g, setting.A_is_zero):
         return Verdict(GUARANTEED)
     if setting.kappa_trivial and not setting.A_is_zero and (g == 2 or n != 4):
         return Verdict(GUARANTEED_PRIMARY_ONLY)
@@ -340,7 +347,7 @@ def vertex_contributes(
         return False
     # ... and is admitted only where the vanishing lemma's hypotheses
     # fail for (g_v, d_v) and the regime matches a counter-example
-    if (vertex.genus, vertex.degree) != (1, 0) and (n - 5) * vertex.genus * (vertex.genus - 1) >= 0:
+    if lemma_applies(n, vertex.genus, vertex.degree == 0):
         return False
     return not (kappa_trivial and n != 4)
 
@@ -411,7 +418,7 @@ def _printer(delta):
     return lambda value: rat_to_str(value(int(delta)))
 
 
-def assemble_example_1(n: int, delta, alpha_mult=1) -> VerificationReport:
+def assemble_example_1(n: int, delta) -> VerificationReport:
     """Genus-1 degree-0 consistency identities for a hypersurface in
     projective space; a polynomial identity when the degree is symbolic."""
     report = VerificationReport(command=f"verify example 1 (n={n}, delta={delta})")
@@ -439,15 +446,15 @@ def assemble_example_1(n: int, delta, alpha_mult=1) -> VerificationReport:
     )
     report.add(
         "absolute alpha-invariant",
-        rat_to_str(gw_genus1_deg0(X, None, ("alpha", alpha_mult))),
+        rat_to_str(gw_genus1_deg0(X, None, ("alpha", 1))),
         "(1.12) first equality",
     )
     report.add(
         "relative alpha-invariant",
-        show(gw_genus1_deg0(X, V, ("alpha", alpha_mult))),
+        show(gw_genus1_deg0(X, V, ("alpha", 1))),
         "(1.12) second equality",
     )
-    lhs, rhs = genus1_consistency_alpha(X, V, a=alpha_mult)
+    lhs, rhs = genus1_consistency_alpha(X, V)
     report.add(
         "degeneration consistency, alpha insertion",
         show(rhs),
@@ -469,26 +476,54 @@ def _graph_items(report, example_id, delta, expected_count):
         report.add(f"graph {i}", graph.describe(), "contributing configuration")
 
 
-def _identity_items(report, delta, implied, claimed, source):
-    """With a symbolic degree, sample the identity at delta = 1..10."""
-    if delta != "symbolic":
-        return
-    for dv in range(1, 11):
+def _degree_identity_items(
+    report, delta, correction, absolute_problem, absolute_value, absolute_source,
+    identity, identity_source, relative_problem, relative_source,
+):
+    """What the identities (1.13) and (1.14) share: the absolute invariant,
+    the relative invariant it implies with the correction term, checked
+    against the identity (sampled at delta = 1..10 when the degree is
+    symbolic), and the localization cross-check at delta = 1."""
+    symbolic = delta == "symbolic"
+    show = _printer(delta)
+    absolute = problem_total(builtin_problem(absolute_problem))
+    report.add(
+        "absolute invariant",
+        rat_to_str(absolute),
+        absolute_source,
+        expected=rat_to_str(absolute_value),
+    )
+    implied = absolute - correction
+    report.add(
+        "implied relative invariant / delta!",
+        show(implied),
+        identity_source,
+        expected=show(identity),
+    )
+    if symbolic:
+        for dv in range(1, 11):
+            report.add(
+                f"identity at delta={dv}",
+                rat_to_str(implied(dv)),
+                identity_source,
+                expected=rat_to_str(identity(dv)),
+            )
+    if symbolic or int(delta) == 1:
+        relative = problem_total(builtin_problem(relative_problem))
         report.add(
-            f"identity at delta={dv}",
-            rat_to_str(implied(dv)),
-            source,
-            expected=rat_to_str(claimed(dv)),
+            "localization cross-check at delta=1",
+            rat_to_str(relative),
+            relative_source,
+            expected=rat_to_str(implied(1)),
         )
 
 
 def assemble_example_2(delta) -> VerificationReport:
     """The genus-2 degree-1 identity for the projective line relative to
     delta points, as a polynomial identity when delta is symbolic."""
-    symbolic = delta == "symbolic"
     show = _printer(delta)
     report = VerificationReport(command=f"verify example 2 (delta={delta})")
-    if not symbolic:
+    if delta != "symbolic":
         _graph_items(report, 2, int(delta), expected_count=1 + int(delta))
     vertex_factor = problem_total(builtin_problem("fig7"))
     report.add(
@@ -501,39 +536,19 @@ def assemble_example_2(delta) -> VerificationReport:
     report.add("<psi^4> on the 1-pointed genus-2 space", rat_to_str(psi4), "Table 2", expected="1/1152")
     correction = DELTA * (vertex_factor * psi4)
     report.add("correction term delta/1152", show(correction), "(1.13)")
-    absolute = problem_total(builtin_problem("fig8-absolute"))
-    report.add(
-        "absolute invariant",
-        rat_to_str(absolute),
-        "(4.25)+(4.26)",
-        expected=rat_to_str(GENUS2_ABSOLUTE),
+    _degree_identity_items(
+        report, delta, correction, "fig8-absolute", GENUS2_ABSOLUTE, "(4.25)+(4.26)",
+        IDENTITY_1_13, "(1.13)", "fig8-relative", "(4.24) second integral",
     )
-    implied = absolute - correction
-    report.add(
-        "implied relative invariant / delta!",
-        show(implied),
-        "(1.13)",
-        expected=show(IDENTITY_1_13),
-    )
-    _identity_items(report, delta, implied, IDENTITY_1_13, "(1.13)")
-    if symbolic or int(delta) == 1:
-        relative = problem_total(builtin_problem("fig8-relative"))
-        report.add(
-            "localization cross-check at delta=1",
-            rat_to_str(relative),
-            "(4.24) second integral",
-            expected=rat_to_str(implied(1)),
-        )
     return report
 
 
 def assemble_example_3(delta) -> VerificationReport:
     """The genus-3 degree-1 identity for four-dimensional projective space
     relative to a degree-delta hypersurface."""
-    symbolic = delta == "symbolic"
     show = _printer(delta)
     report = VerificationReport(command=f"verify example 3 (delta={delta})")
-    if not symbolic:
+    if delta != "symbolic":
         _graph_items(report, 3, int(delta), expected_count=2)
     pushforward = problem_total(builtin_problem("fig10"))
     report.add("top-genus push-forward degree", rat_to_str(pushforward), "(4.31)", expected="4")
@@ -544,29 +559,10 @@ def assemble_example_3(delta) -> VerificationReport:
         "Lemma 4.4 + Table 1",
         expected=show(GENUS3_CORRECTION),
     )
-    absolute = problem_total(builtin_problem("p4-absolute"))
-    report.add(
-        "absolute invariant",
-        rat_to_str(absolute),
-        "(4.33)-(4.36) doubled",
-        expected=rat_to_str(GENUS3_ABSOLUTE),
+    _degree_identity_items(
+        report, delta, correction, "p4-absolute", GENUS3_ABSOLUTE, "(4.33)-(4.36) doubled",
+        IDENTITY_1_14, "(1.14)", "p4-relative-delta1", "(4.37)-(4.42)",
     )
-    implied = absolute - correction
-    report.add(
-        "implied relative invariant / delta!",
-        show(implied),
-        "(1.14)",
-        expected=show(IDENTITY_1_14),
-    )
-    _identity_items(report, delta, implied, IDENTITY_1_14, "(1.14)")
-    if symbolic or int(delta) == 1:
-        relative = problem_total(builtin_problem("p4-relative-delta1"))
-        report.add(
-            "localization cross-check at delta=1",
-            rat_to_str(relative),
-            "(4.37)-(4.42)",
-            expected=rat_to_str(implied(1)),
-        )
     return report
 
 

@@ -72,6 +72,16 @@ def test_localize_command(capsys):
     assert code == 1
 
 
+def test_localize_help_lists_names_it_accepts(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "1000")  # keep the help on one line
+    code, out, _ = run(capsys, "localize", "--help")
+    assert code == 0
+    names = out.split("builtin name (", 1)[1].split(")", 1)[0].split(", ")
+    assert names == sorted(localization.BUILTIN_ALIASES)
+    for name in names:
+        assert localization.resolve_problem(name).loci
+
+
 def test_localize_eval_and_json(capsys):
     code, out, _ = run(
         capsys, "localize", "--config", "fig10", "--eval", "5,2", "--json"
@@ -107,6 +117,13 @@ def test_verify_commands(capsys):
 def test_graphs_command(capsys):
     code, out, _ = run(capsys, "graphs", "--example", "3", "--delta", "7")
     assert code == 0 and "2 of" in out.splitlines()[-1]
+    summary = out.splitlines()[-1]
+    code, out, _ = run(capsys, "graphs", "--example", "3", "--delta", "7", "--surviving")
+    assert code == 0 and out.splitlines()[-1] == summary
+    assert summary.startswith("2 of ") and summary.endswith(" graphs contribute")
+    assert len(out.splitlines()) == 3
+    code, _, err = run(capsys, "graphs", "--example", "3", "--delta", "7", "--all")
+    assert code == 2 and "--all" in err
 
 
 def test_graphs_output_golden(capsys):
@@ -155,6 +172,10 @@ def test_scalar_output_golden(capsys):
             "03dbe6221c7bce4c32260eb457ee466f6eda368f6e7203ef4e2f99328095e635",
         ("verify", "--example", "1", "--delta", "3", "--n", "3"):
             "cfc39884976ca6cbb253c51542b4c0407bb2cc8b4dd63813a10b15df2a75ee32",
+        ("verify", "--example", "2", "--delta", "1"):
+            "bf9fa0ce69f5b7533278a8ec0c7f2ca596bbd04f15998385b0c5c0efccc81346",
+        ("verify", "--example", "3", "--delta", "12", "--json"):
+            "ca65eb9a6e404646da80b54e5043c3beb501b268c122124f96c9b848d6d2f28e",
     }
     for argv, digest in golden.items():
         code, out, _ = run(capsys, *argv)

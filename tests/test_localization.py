@@ -15,7 +15,6 @@ from gwverify.errors import (
 from gwverify import localization
 from gwverify.exprs import parse_scalar
 from gwverify.localization import (
-    builtin_names,
     builtin_problem,
     load_problem,
     locus_contribution,
@@ -138,17 +137,6 @@ def test_weight_independence_spot_checks(name):
 
 
 # -- loading and schema ------------------------------------------------------------
-
-def test_builtin_names():
-    assert set(builtin_names()) == {
-        "fig7",
-        "fig8_absolute",
-        "fig8_relative",
-        "fig10",
-        "fig11_absolute",
-        "fig11_relative",
-    }
-
 
 def test_resolve_by_path(tmp_path):
     payload = {

@@ -302,6 +302,21 @@ def test_filter_rejects_wrong_shapes():
     assert not vanishing_filter(g3, 1, False, 2)
 
 
+def test_vertex_rule_and_verdict_disagree_in_one_cell():
+    # the single-edge, label-1 top-genus vertex is admitted exactly where the
+    # verdict is not_guaranteed, except at n = 4, g = 2 with trivial kappa:
+    # there the vertex rule admits it but the verdict is primary-only
+    disagree = []
+    for n in range(1, 8):
+        for g in range(1, 5):
+            for kappa in (True, False):
+                admitted = sumformula.vertex_contributes(GraphVertex("V", g, 1, 0), (1,), n, kappa, g)
+                verdict = thm1_verdict(setting(n=n, g=g, kappa_trivial=kappa))
+                if admitted != (verdict.status == NOT_GUARANTEED):
+                    disagree.append((n, g, kappa, verdict.status))
+    assert disagree == [(4, 2, True, GUARANTEED_PRIMARY_ONLY)]
+
+
 # -- assemblies ------------------------------------------------------------------------
 
 def test_example1_report():
