@@ -310,7 +310,8 @@ def test_vertex_rule_and_verdict_disagree_in_one_cell():
     for n in range(1, 8):
         for g in range(1, 5):
             for kappa in (True, False):
-                admitted = sumformula.vertex_contributes(GraphVertex("V", g, 1, 0), (1,), n, kappa, g)
+                vertex = GraphVertex("V", g, 1, 0)
+                admitted = sumformula.vertex_contributes(vertex, (1,), n, kappa, g)
                 verdict = thm1_verdict(setting(n=n, g=g, kappa_trivial=kappa))
                 if admitted != (verdict.status == NOT_GUARANTEED):
                     disagree.append((n, g, kappa, verdict.status))
