@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import InclusionUndeclared, InternalMismatch
 from .hodge import HodgeMonomial, hodge_intersect
@@ -34,8 +34,9 @@ class ChernData:
     """Total Chern class of a space with monogenerated cohomology.
 
     ``total_chern[i]`` is the coefficient of x^i; ``degree_map`` is the value
-    of <x^dim>.  ``divisor_multiple`` is set when the space was built as a
-    divisor of class (multiple * x) in an ambient space.
+    of <x^dim>, so a Chern number such as <c1 c2, V> on a threefold is
+    ``c(1) * c(2) * degree_map``.  ``divisor_multiple`` is set when the space
+    was built as a divisor of class (multiple * x) in an ambient space.
     """
 
     name: str
@@ -48,12 +49,6 @@ class ChernData:
         if i < 0:
             return Fraction(0)
         return self.total_chern[i] if i <= self.dim else Fraction(0)
-
-    def pair(self, coeffs: Sequence) -> Coeff:
-        """Pair a class given by x-power coefficients against the space."""
-        if len(coeffs) <= self.dim:
-            return Fraction(0)
-        return coeffs[self.dim] * self.degree_map
 
 
 def projective_space(n: int) -> ChernData:
@@ -169,10 +164,10 @@ def hodge_contraction_genus3(V: ChernData) -> Coeff:
     lambda-ladder coefficients are c1c2 - 3c3, c3, and c1^3 - 3c1c2 + 3c3."""
     if V.dim != 3:
         raise ValueError("the genus-3 contraction needs a threefold")
-    c1, c2, c3 = V.c(1), V.c(2), V.c(3)
-    c1c2 = V.pair(_ser_mul([0, c1], [0, 0, c2], 3))
-    c3top = V.pair([0, 0, 0, c3])
-    c1cube = V.pair(_ser_mul(_ser_mul([0, c1], [0, c1], 3), [0, c1], 3))
+    c1, c2, c3, deg = V.c(1), V.c(2), V.c(3), V.degree_map
+    c1c2 = c1 * c2 * deg
+    c3top = c3 * deg
+    c1cube = c1 * c1 * c1 * deg
     return (
         _lam(1, 1, 1) * (c1c2 - 3 * c3top)
         + _lam(0, 3, 0) * c3top
@@ -187,7 +182,7 @@ def degree_correction_genus3(V: ChernData, multiplier=Fraction(4)) -> Coeff:
 
 
 def c1c2_minus_c3(V: ChernData) -> Coeff:
-    c1, c2, c3 = V.c(1), V.c(2), V.c(3)
-    cls = _ser_mul([0, c1], [0, 0, c2], 3)
-    cls[3] = cls[3] - c3
-    return V.pair(cls)
+    """<c1c2 - c3, V>; zero unless V is a threefold."""
+    if V.dim != 3:
+        return Fraction(0)
+    return (V.c(1) * V.c(2) - V.c(3)) * V.degree_map

@@ -12,7 +12,13 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .chern import degree_correction_genus3, euler_char, hypersurface, projective_space
+from .chern import (
+    degree_correction_genus3,
+    euler_char,
+    gw_genus1_deg0,
+    hypersurface,
+    projective_space,
+)
 from .errors import (
     DenominatorVanishes,
     ExpectationMismatch,
@@ -119,8 +125,6 @@ def cmd_chern(args) -> int:
 
 
 def cmd_gw10(args) -> int:
-    from .chern import gw_genus1_deg0
-
     X = _space(args.X)
     V = hypersurface(X.dim, args.V) if args.V is not None else None
     if args.insertion == "j":
@@ -238,7 +242,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("chern", help="Chern data of a projective space or hypersurface")
     p.add_argument("--space", required=True, help="P1..P6")
     p.add_argument("--hypersurface", type=degree, default=None, help="divisor degree")
-    p.add_argument("--report", action="store_true", help="(default output is the report)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_chern)
 

@@ -161,17 +161,12 @@ class _Parser:
                 idx.append(int(v))
             self.expect("]")
             try:
-                if val == "psi":
-                    factor, point = idx
-                    return TautClass.psi(self.base, factor, point)
-                if val == "lam":
-                    factor, j = idx
-                    return TautClass.lam(self.base, factor, j)
-                if val == "x":
+                if val in ("psi", "lam"):
+                    factor, index = idx
+                else:
                     (factor,) = idx
-                    return TautClass.x(self.base, factor)
-                (factor,) = idx
-                return TautClass.psiinf(self.base, factor)
+                    index = None
+                return TautClass.generator(self.base, factor, val, index)
             except BaseMismatch:
                 raise
             except (ValueError, IndexError) as exc:

@@ -246,9 +246,6 @@ def _eval_uncached(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
     table = _load_tables()["dm"]
     total = Fraction(0)
     for coeff, lt in rewrite_lambda(g, lam):
-        if not any(lt):
-            total += coeff * psi_intersect(PsiKey(g, psi))
-            continue
         val = table.get((g, n, psi, lt))
         if val is None:
             raise UnknownMonomial(

@@ -70,7 +70,6 @@ class LocusTerm:
     insertion: TautClass
     obstruction: TautClass
     deformation: TautClass
-    note: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,7 +216,6 @@ def _parse_term(raw: dict, where: str) -> LocusTerm:
         insertion=out["insertion"],
         obstruction=out["obstruction"],
         deformation=out["deformation"],
-        note=str(raw.get("note", "")),
     )
 
 

@@ -2,7 +2,9 @@
 
 Generators are the psi-classes at marked points and lambda-classes on each
 Deligne-Mumford factor, the hyperplane class x on each projective-line
-factor (x^2 = 0), and the target psi-class on each rubber factor.
+factor (x^2 = 0), and the target psi-class on each rubber factor.  Each
+factor declares its generators once, in ``gens``: exponent slots, degrees
+and labels come from there, and the parser looks identifiers up in it.
 Coefficients are :class:`EquivariantScalar`; the equivariant weights do not
 count toward the truncation degree.  Monomials are truncated per factor at
 the factor dimension: anything deeper can never integrate to a nonzero
@@ -20,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Sequence, Union
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import BaseMismatch, GenusOutOfRange, NonInvertible
 from .hodge import (
@@ -30,13 +33,34 @@ from .hodge import (
     rewrite_lambda,
     rubber_intersect,
 )
-from .scalars import ES_ONE, ES_ZERO, EquivariantScalar, Rational
+from .scalars import ES_ONE, ES_ZERO, EquivariantScalar, Rational, power
 
 Mono = tuple[tuple[int, ...], ...]
+Gen = tuple[str, Optional[int], int]
+
+
+class Factor:
+    """A factor of the base space.  ``gens`` names its generators in
+    exponent-slot order as (name, index or None, degree); the ring reads its
+    slots, degrees and labels from them.  ``integral(e)`` pairs a monomial of
+    the factor's top degree against it."""
+
+    gens: tuple[Gen, ...] = ()
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        return tuple(d for _, _, d in self.gens)
+
+    def degree(self, e: tuple[int, ...]) -> int:
+        return sum(map(mul, e, self._degrees))
+
+
+def _lam_gens(g: int) -> tuple[Gen, ...]:
+    return tuple(("lam", j, j) for j in range(1, g + 1))
 
 
 @dataclass(frozen=True)
-class DMFactor:
+class DMFactor(Factor):
     g: int
     n: int
 
@@ -44,50 +68,47 @@ class DMFactor:
     def dim(self) -> int:
         return 3 * self.g - 3 + self.n
 
-    def exps(self) -> int:
-        return self.n + self.g
+    @cached_property
+    def gens(self) -> tuple[Gen, ...]:
+        return tuple(("psi", i, 1) for i in range(1, self.n + 1)) + _lam_gens(self.g)
 
-    def degree(self, e: tuple[int, ...]) -> int:
-        return sum(e[: self.n]) + sum((i + 1) * k for i, k in enumerate(e[self.n :]))
+    def integral(self, e: tuple[int, ...]) -> Fraction:
+        return hodge_intersect(HodgeMonomial(self.g, self.n, e[: self.n], e[self.n :]))
 
     def __str__(self) -> str:
         return f"DM({self.g},{self.n})"
 
 
 @dataclass(frozen=True)
-class ProjLineFactor:
+class ProjLineFactor(Factor):
+    gens = (("x", None, 1),)
+
     @property
     def dim(self) -> int:
         return 1
 
-    def exps(self) -> int:
-        return 1
-
-    def degree(self, e: tuple[int, ...]) -> int:
-        return e[0]
+    def integral(self, e: tuple[int, ...]) -> Fraction:
+        return Fraction(1) if e[0] == 1 else Fraction(0)
 
     def __str__(self) -> str:
         return "P1"
 
 
 @dataclass(frozen=True)
-class PointFactor:
+class PointFactor(Factor):
     @property
     def dim(self) -> int:
         return 0
 
-    def exps(self) -> int:
-        return 0
-
-    def degree(self, e: tuple[int, ...]) -> int:
-        return 0
+    def integral(self, e: tuple[int, ...]) -> Fraction:
+        return Fraction(1)
 
     def __str__(self) -> str:
         return "pt"
 
 
 @dataclass(frozen=True)
-class RubberFactor:
+class RubberFactor(Factor):
     """Degree-1 rubber space with the ((1),(1)) contact pattern; carries the
     target psi-class and the lambda-classes of its genus-g Hodge bundle."""
 
@@ -98,17 +119,15 @@ class RubberFactor:
     def dim(self) -> int:
         return self.n - 1 if self.g == 0 else 2 * self.g - 1
 
-    def exps(self) -> int:
-        return 1 + self.g
+    @cached_property
+    def gens(self) -> tuple[Gen, ...]:
+        return (("psiinf", None, 1),) + _lam_gens(self.g)
 
-    def degree(self, e: tuple[int, ...]) -> int:
-        return e[0] + sum((i + 1) * k for i, k in enumerate(e[1:]))
+    def integral(self, e: tuple[int, ...]) -> Fraction:
+        return rubber_intersect(RubberKey(self.g, e[0], e[1:], n=self.n))
 
     def __str__(self) -> str:
         return f"Rubber({self.g})" if self.n == 0 else f"Rubber({self.g},{self.n})"
-
-
-Factor = Union[DMFactor, ProjLineFactor, PointFactor, RubberFactor]
 
 
 @dataclass(frozen=True)
@@ -120,7 +139,7 @@ class BaseSpace:
         return sum(f.dim for f in self.factors)
 
     def zero_mono(self) -> Mono:
-        return tuple((0,) * f.exps() for f in self.factors)
+        return tuple((0,) * len(f.gens) for f in self.factors)
 
     @cached_property
     def products(self) -> dict[tuple[Mono, Mono], Optional[Mono]]:
@@ -158,41 +177,21 @@ class TautClass:
         return cls.scalar(base, ES_ONE)
 
     @classmethod
-    def generator(cls, base: BaseSpace, factor: int, slot: int) -> "TautClass":
+    def generator(
+        cls, base: BaseSpace, factor: int, name: str, index: Optional[int] = None
+    ) -> "TautClass":
+        """The generator ``name[factor]`` or ``name[factor,index]``."""
+        for slot, gen in enumerate(base.factors[factor].gens):
+            if gen[:2] == (name, index):
+                break
+        else:
+            raise BaseMismatch(f"no {_label(name, factor, index)} on {base}")
         mono = [list(e) for e in base.zero_mono()]
         mono[factor][slot] += 1
         m = tuple(tuple(e) for e in mono)
         if not _mono_ok(base, m):
             return cls(base)
         return cls(base, {m: ES_ONE})
-
-    @classmethod
-    def psi(cls, base: BaseSpace, factor: int, point: int) -> "TautClass":
-        f = base.factors[factor]
-        if not isinstance(f, DMFactor) or not 1 <= point <= f.n:
-            raise BaseMismatch(f"no psi[{factor},{point}] on {base}")
-        return cls.generator(base, factor, point - 1)
-
-    @classmethod
-    def lam(cls, base: BaseSpace, factor: int, index: int) -> "TautClass":
-        f = base.factors[factor]
-        if isinstance(f, DMFactor) and 1 <= index <= f.g:
-            return cls.generator(base, factor, f.n + index - 1)
-        if isinstance(f, RubberFactor) and 1 <= index <= f.g:
-            return cls.generator(base, factor, index)
-        raise BaseMismatch(f"no lam[{factor},{index}] on {base}")
-
-    @classmethod
-    def x(cls, base: BaseSpace, factor: int) -> "TautClass":
-        if not isinstance(base.factors[factor], ProjLineFactor):
-            raise BaseMismatch(f"no x[{factor}] on {base}")
-        return cls.generator(base, factor, 0)
-
-    @classmethod
-    def psiinf(cls, base: BaseSpace, factor: int) -> "TautClass":
-        if not isinstance(base.factors[factor], RubberFactor):
-            raise BaseMismatch(f"no psiinf[{factor}] on {base}")
-        return cls.generator(base, factor, 0)
 
     # -- structure -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -268,15 +267,7 @@ class TautClass:
     def __pow__(self, k: int) -> "TautClass":
         if k < 0:
             raise ValueError("negative power of a ring class; use tc_invert")
-        out = TautClass.one(self.base)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, TautClass.one(self.base))
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -304,24 +295,17 @@ def _mono_degree(base: BaseSpace, m: Mono) -> int:
     return sum(f.degree(e) for f, e in zip(base.factors, m))
 
 
+def _label(name: str, factor: int, index: Optional[int]) -> str:
+    return f"{name}[{factor}]" if index is None else f"{name}[{factor},{index}]"
+
+
 def _mono_str(base: BaseSpace, m: Mono) -> str:
     names = []
     for fi, (f, e) in enumerate(zip(base.factors, m)):
-        if isinstance(f, DMFactor):
-            labels = [f"psi[{fi},{i+1}]" for i in range(f.n)] + [
-                f"lam[{fi},{j+1}]" for j in range(f.g)
-            ]
-        elif isinstance(f, ProjLineFactor):
-            labels = [f"x[{fi}]"]
-        elif isinstance(f, RubberFactor):
-            labels = [f"psiinf[{fi}]"] + [f"lam[{fi},{j+1}]" for j in range(f.g)]
-        else:
-            labels = []
-        for lbl, k in zip(labels, e):
-            if k == 1:
-                names.append(lbl)
-            elif k > 1:
-                names.append(f"{lbl}^{k}")
+        for (name, index, _), k in zip(f.gens, e):
+            if k:
+                label = _label(name, fi, index)
+                names.append(label if k == 1 else f"{label}^{k}")
     return "*".join(names) if names else "1"
 
 
@@ -356,24 +340,12 @@ def tc_integrate(a: TautClass) -> EquivariantScalar:
             continue
         val = Fraction(1)
         for f, e in zip(a.base.factors, m):
-            val *= _factor_integral(f, e)
+            val *= f.integral(e)
             if val == 0:
                 break
         if val != 0:
             total = total + a.terms[m].scale(val)
     return total
-
-
-def _factor_integral(f: Factor, e: tuple[int, ...]) -> Fraction:
-    if isinstance(f, DMFactor):
-        return hodge_intersect(HodgeMonomial(f.g, f.n, e[: f.n], e[f.n :]))
-    if isinstance(f, ProjLineFactor):
-        return Fraction(1) if e[0] == 1 else Fraction(0)
-    if isinstance(f, PointFactor):
-        return Fraction(1)
-    if isinstance(f, RubberFactor):
-        return rubber_intersect(RubberKey(f.g, e[0], e[1:], n=f.n))
-    raise TypeError(f"unknown factor {f!r}")
 
 
 def hodge_twist(
@@ -398,7 +370,7 @@ def hodge_twist(
         for i in range(g + 1):
             piece = (w ** (g - i)).scale(Fraction(-1) ** i)
             if i > 0:
-                piece = piece * TautClass.lam(base, factor, i)
+                piece = piece * TautClass.generator(base, factor, "lam", i)
             term = term + piece
         out = out * term
     return out

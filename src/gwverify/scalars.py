@@ -51,6 +51,19 @@ def rat_from_str(s: str) -> Rational:
         raise ParseError(f"zero denominator in {s.strip()!r}") from None
 
 
+def power(x, n: int, one):
+    """``x**n`` for ``n >= 0`` by square-and-multiply; ``one`` is the unit of
+    the ring that ``x`` lives in."""
+    out = one
+    while n:
+        if n & 1:
+            out = out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return out
+
+
 # ---------------------------------------------------------------------------
 # rows: univariate polynomials, lowest power first, trimmed
 # ---------------------------------------------------------------------------
@@ -205,9 +218,6 @@ class WeightPoly:
     def is_zero(self) -> bool:
         return not self.row
 
-    def as_const(self) -> Optional[Fraction]:
-        return self.c if self.d == 0 else None
-
     def degree(self) -> int:
         """The total degree of the form; 0 for the zero polynomial."""
         return self.d
@@ -250,15 +260,7 @@ class WeightPoly:
     def __pow__(self, n: int) -> "WeightPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = WeightPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+        return power(self, n, WeightPoly.const(1))
 
     def eval_at(self, w1: Rational, w2: Rational) -> Fraction:
         w1, w2 = Fraction(w1), Fraction(w2)
@@ -527,16 +529,8 @@ class EquivariantScalar:
 
     def __pow__(self, n: int) -> "EquivariantScalar":
         if n < 0:
-            return self.inverse() ** (-n)
-        out = ES_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            n >>= 1
-            if n:
-                base = base * base
-        return out
+            return power(self.inverse(), -n, ES_ONE)
+        return power(self, n, ES_ONE)
 
     def scale(self, c: Rational) -> "EquivariantScalar":
         if not c:
@@ -647,10 +641,7 @@ class DeltaPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = DeltaPoly([1])
-        for _ in range(n):
-            out = out * self
-        return out
+        return power(self, n, DeltaPoly([1]))
 
     def __eq__(self, other) -> bool:
         return self.row == self._lift(other).row

@@ -56,9 +56,11 @@ def test_gw10_command(capsys):
 
 
 def test_chern_command(capsys):
-    code, out, _ = run(capsys, "chern", "--space", "P4", "--hypersurface", "5", "--report")
+    code, out, _ = run(capsys, "chern", "--space", "P4", "--hypersurface", "5")
     assert code == 0
     assert "chi(V5(P4))" in out and "-200" in out
+    code, _, _ = run(capsys, "chern", "--space", "P4", "--hypersurface", "5", "--report")
+    assert code == 2
 
 
 def test_localize_command(capsys):

@@ -29,7 +29,7 @@ P1 = BaseSpace((ProjLineFactor(),))
 
 
 def test_x_nilpotent():
-    x = TautClass.x(P1, 0)
+    x = TautClass.generator(P1, 0, "x")
     assert (x * x).is_zero()
 
 
@@ -45,7 +45,7 @@ def test_base_mismatch():
 
 def test_integrate_simple():
     assert tc_integrate(parse_class("psi[0,1]^4", M21)) == Fraction(1, 1152)
-    assert tc_integrate(TautClass.x(P1, 0)) == ES_ONE
+    assert tc_integrate(TautClass.generator(P1, 0, "x")) == ES_ONE
     # degree below the dimension integrates to zero
     assert tc_integrate(parse_class("psi[0,1]", M21)).is_zero()
 
@@ -57,7 +57,7 @@ def test_invert_scalar_and_linear():
     wx = parse_class("a1 + x[0]", P1)
     inv = tc_invert(wx)
     assert wx * inv == TautClass.one(P1)
-    expected = TautClass.scalar(P1, A1.inverse()) - TautClass.x(P1, 0).scale(
+    expected = TautClass.scalar(P1, A1.inverse()) - TautClass.generator(P1, 0, "x").scale(
         (A1 * A1).inverse()
     )
     assert inv == expected
@@ -65,7 +65,7 @@ def test_invert_scalar_and_linear():
 
 def test_invert_requires_scalar_part():
     with pytest.raises(NonInvertible):
-        tc_invert(TautClass.x(P1, 0))
+        tc_invert(TautClass.generator(P1, 0, "x"))
 
 
 def test_invert_unit_identity_random():
@@ -155,7 +155,7 @@ def test_truncation_soundness():
     # multiplying beyond the factor dimension drops terms
     c = parse_class("psi[0,1]^4", M21)
     assert (c * c).is_zero()
-    assert (c * TautClass.lam(M21, 0, 2)).is_zero()
+    assert (c * TautClass.generator(M21, 0, "lam", 2)).is_zero()
 
 
 def test_product_table_records_sums_and_truncations():
@@ -232,3 +232,65 @@ def test_parse_errors():
         parse_class("psi[0]", M21)
     with pytest.raises(BaseMismatch):
         parse_class("x[0]", M21)
+
+
+EVERY_KIND = BaseSpace((DMFactor(2, 2), ProjLineFactor(), PointFactor(), RubberFactor(1)))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        (
+            "hodgetwist(2; a1, a2)",
+            "((a1^2*a2^2)/(1))*1 + ((-a1^2*a2 - a1*a2^2)/(1))*lam[0,1]"
+            " + ((a1^2 + a2^2)/(1))*lam[0,2] + ((a1*a2)/(1))*lam[0,1]^2"
+            " + ((-a1 - a2)/(1))*lam[0,1]*lam[0,2] + ((1)/(1))*lam[0,2]^2",
+        ),
+        ("hodgetwist(1; a1)*psiinf[3]", "((a1)/(1))*psiinf[3]"),
+        (
+            "hodgetwist(2; a1 - x[1])",
+            "((a1^2)/(1))*1 + ((-2*a1)/(1))*x[1] + ((-a1)/(1))*lam[0,1]"
+            " + ((1)/(1))*lam[0,2] + ((1)/(1))*lam[0,1]*x[1]",
+        ),
+        (
+            "psi[0,1]*psi[0,2]^2*lam[0,2]*x[1]*lam[3,1]",
+            "((1)/(1))*psi[0,1]*psi[0,2]^2*lam[0,2]*x[1]*lam[3,1]",
+        ),
+        ("x[0]", (BaseMismatch, "no x[0] on DM(2,2) x P1 x pt x Rubber(1)")),
+        (
+            "psi[0]",
+            (ParseError, "bad indices for psi in 'psi[0]': "
+             "not enough values to unpack (expected 2, got 1)"),
+        ),
+        ("psi[0,9]", (BaseMismatch, "no psi[0,9] on DM(2,2) x P1 x pt x Rubber(1)")),
+        ("psi[0,0]", (BaseMismatch, "no psi[0,0] on DM(2,2) x P1 x pt x Rubber(1)")),
+        ("lam[1,1]", (BaseMismatch, "no lam[1,1] on DM(2,2) x P1 x pt x Rubber(1)")),
+        ("lam[3,2]", (BaseMismatch, "no lam[3,2] on DM(2,2) x P1 x pt x Rubber(1)")),
+        ("psiinf[0]", (BaseMismatch, "no psiinf[0] on DM(2,2) x P1 x pt x Rubber(1)")),
+        (
+            "psi[7,1]",
+            (ParseError, "bad indices for psi in 'psi[7,1]': tuple index out of range"),
+        ),
+        (
+            "x[1,1]",
+            (ParseError, "bad indices for x in 'x[1,1]': "
+             "too many values to unpack (expected 1)"),
+        ),
+        ("x[9]", (ParseError, "bad indices for x in 'x[9]': tuple index out of range")),
+        ("lam[2,1]", (BaseMismatch, "no lam[2,1] on DM(2,2) x P1 x pt x Rubber(1)")),
+        ("psi[1,1]", (BaseMismatch, "no psi[1,1] on DM(2,2) x P1 x pt x Rubber(1)")),
+        (
+            "psiinf[3,1]",
+            (ParseError, "bad indices for psiinf in 'psiinf[3,1]': "
+             "too many values to unpack (expected 1)"),
+        ),
+    ],
+)
+def test_generator_labels_and_errors_on_every_factor_kind(text, expected):
+    if isinstance(expected, str):
+        assert str(parse_class(text, EVERY_KIND)) == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as exc:
+        parse_class(text, EVERY_KIND)
+    assert type(exc.value) is error and str(exc.value) == message

@@ -381,8 +381,10 @@ def test_ring_product_is_the_termwise_sum():
     from gwverify.ring import BaseSpace, DMFactor, ProjLineFactor, TautClass, _mono_ok
 
     base = BaseSpace((DMFactor(1, 2), ProjLineFactor()))
-    gens = [TautClass.psi(base, 0, 1), TautClass.psi(base, 0, 2),
-            TautClass.lam(base, 0, 1), TautClass.x(base, 1)]
+    gens = [
+        TautClass.generator(base, 0, "psi", 1), TautClass.generator(base, 0, "psi", 2),
+        TautClass.generator(base, 0, "lam", 1), TautClass.generator(base, 1, "x"),
+    ]
     rng = random.Random(43)
 
     def random_class():
@@ -437,3 +439,4 @@ def test_delta_poly_edge_cases_raise():
     with pytest.raises(DivisionByZero):
         delta / 0
     assert delta ** 0 == 1 and (delta * 2) / 4 == delta / 2
+    assert (delta + 1) ** 3 == DeltaPoly([1, 3, 3, 1])
