@@ -184,7 +184,7 @@ def cmd_thm1(args) -> int:
         AdotV=0,
         c1A=0,
         A_is_zero=(args.A == "zero"),
-        kappa_trivial=args.primary or args.kappa == "trivial",
+        kappa_trivial=args.kappa == "trivial",
     )
     print(thm1_verdict(s))
     return 0
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("thm1", help="guarantee verdict for a setting")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--g", type=int, required=True)
-    p.add_argument("--primary", action="store_true", help="trivial moduli constraint")
     p.add_argument("--kappa", choices=("trivial", "nontrivial"), default="trivial")
     p.add_argument("--A", choices=("zero", "nonzero"), default="nonzero")
     p.set_defaults(fn=cmd_thm1)

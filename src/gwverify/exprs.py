@@ -169,7 +169,7 @@ class _Parser:
                 return TautClass.generator(self.base, factor, val, index)
             except BaseMismatch:
                 raise
-            except (ValueError, IndexError) as exc:
+            except ValueError as exc:
                 raise ParseError(f"bad indices for {val} in {self.text!r}: {exc}") from exc
         raise ParseError(f"unknown identifier {val!r} at position {pos}")
 

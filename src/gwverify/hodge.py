@@ -12,9 +12,9 @@ of the top Hodge class squared):
   genus 2:  lambda_1^2 = 2 lambda_2,  lambda_2^2 = 0
   genus 3:  lambda_1^2 = 2 lambda_2,  lambda_2^2 = 2 lambda_1 lambda_3,
             lambda_3^2 = 0
-:func:`rewrite_lambda` is the only place they are written.  It normalises DM
-monomials, rubber queries and the rubber table's keys alike (a key's value
-is divided by the rewrite coefficient when the table is loaded), and
+:func:`rewrite_lambda` is the only place they are written.  It normalises
+queries and the keys of both tables alike (a row's value is divided by the
+rewrite coefficient when its table is read), and
 ``ring.mumford_product_check`` reduces the twisted product with it.
 """
 
@@ -35,7 +35,6 @@ from .psi import PsiKey, psi_intersect
 from .scalars import rat_from_str
 
 LamTuple = tuple[int, ...]
-LamTerm = tuple[Fraction, LamTuple]
 
 
 @dataclass(frozen=True)
@@ -93,19 +92,19 @@ class RubberKey:
 # relation rewriting
 # ---------------------------------------------------------------------------
 
-def rewrite_lambda(g: int, lam: LamTuple) -> list[LamTerm]:
+def rewrite_lambda(g: int, lam: LamTuple) -> tuple[int, LamTuple] | None:
     """Normal form of a lambda-monomial under the Mumford relations.
 
-    Returns a single-term list [(coeff, tuple)] or [] when the monomial
-    rewrites to zero.  Genus 0 monomials are already normal.
+    Returns (coeff, tuple), the coefficient a power of 2, or None when the
+    monomial rewrites to zero.  Genus 0 monomials are already normal.
     """
     if g > 3 or g < 0:
         raise GenusOutOfRange(f"relations implemented for genus <= 3, got {g}")
-    coeff = Fraction(1)
+    coeff = 1
     lam = tuple(lam)
     while True:
         if g == 1 and lam[0] >= 2:
-            return []
+            return None
         if g == 2:
             e1, e2 = lam
             if e1 >= 2:
@@ -113,7 +112,7 @@ def rewrite_lambda(g: int, lam: LamTuple) -> list[LamTerm]:
                 lam = (e1 - 2, e2 + 1)
                 continue
             if e2 >= 2:
-                return []
+                return None
         if g == 3:
             e1, e2, e3 = lam
             if e1 >= 2:
@@ -125,76 +124,90 @@ def rewrite_lambda(g: int, lam: LamTuple) -> list[LamTerm]:
                 lam = (e1 + 1, e2 - 2, e3 + 1)
                 continue
             if e3 >= 2:
-                return []
-        return [(coeff, lam)]
+                return None
+        return coeff, lam
 
 
 # ---------------------------------------------------------------------------
 # tables
 # ---------------------------------------------------------------------------
 
-_TABLES: dict | None = None
+# file name -> {(g, n, psi, normal lambda form): value}, each read on first use
+_TABLES: dict[str, dict[tuple, Fraction]] = {}
+
+# what a key missing from each table raises, and what its message calls a row
+_MISSING = {
+    "dm_intersections.json": (UnknownMonomial, "table entry"),
+    "rubber.json": (UnknownRubberKey, "rubber entry"),
+}
 
 
-def _load_tables() -> dict:
-    global _TABLES
-    if _TABLES is not None:
-        return _TABLES
-    payload, where = load_json("tables", "dm_intersections.json")
-    table: dict[tuple, Fraction] = {}
+def _table(name: str) -> dict[tuple, Fraction]:
+    """Table ``name`` keyed by (g, n, psi, normal lambda form), each value
+    divided by its rewrite coefficient.  A rubber row's psi is the target's
+    exponent, a DM row's one exponent per point (stored descending).  A row
+    in the relation ideal with a nonzero value, or two rows that disagree
+    after normalisation, is a SchemaError naming the file and the entries.
+    """
+    table = _TABLES.get(name)
+    if table is not None:
+        return table
+    payload, where = load_json("tables", name)
+    table, origin = {}, {}
     for i, entry in enumerate(payload.get("entries", [])):
         loc = f"{where}: entries[{i}]"
         try:
-            g, n = int(entry["g"]), int(entry["n"])
-            psi = tuple(sorted((int(a) for a in entry["psi"]), reverse=True))
+            g, n, psi = int(entry["g"]), int(entry.get("n", 0)), entry["psi"]
+            if name == "rubber.json":
+                psi = int(psi)
+            else:
+                psi = tuple(sorted((int(a) for a in psi), reverse=True))
             lam = tuple(int(e) for e in entry["lambda"])
             value = rat_from_str(entry["value"])
-        except (KeyError, ValueError) as exc:
-            raise SchemaError(f"{loc}: {exc}") from exc
-        if len(psi) != n or len(lam) != g:
-            raise SchemaError(f"{loc}: exponent vectors do not match (g, n)")
-        table[(g, n, psi, lam)] = value
-
-    rpayload, rwhere = load_json("tables", "rubber.json")
-    rubber: dict[tuple, Fraction] = {}
-    origin: dict[tuple, int] = {}
-    for i, entry in enumerate(rpayload.get("entries", [])):
-        loc = f"{rwhere}: entries[{i}]"
-        try:
-            g = int(entry["g"])
-            n = int(entry.get("n", 0))
-            psi = int(entry["psi"])
-            lam = tuple(int(e) for e in entry["lambda"])
-            value = rat_from_str(entry["value"])
-            if len(lam) != g:
-                raise ValueError("lambda exponent vector does not match g")
+            if len(lam) != g or isinstance(psi, tuple) and len(psi) != n:
+                raise ValueError("exponent vectors do not match (g, n)")
             normal = rewrite_lambda(g, lam)
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{loc}: {exc}") from exc
-        if not normal:
+        if normal is None:
             if value != 0:
                 raise SchemaError(
                     f"{loc}: lambda={list(lam)} lies in the relation ideal "
                     f"but has value {value}"
                 )
             continue
-        [(coeff, lt)] = normal
+        coeff, lt = normal
         key = (g, n, psi, lt)
-        if key in rubber and rubber[key] != value / coeff:
+        value /= coeff
+        if table.setdefault(key, value) != value:
             raise SchemaError(
                 f"{loc}: lambda={list(lam)} normalises to lambda={list(lt)}, "
                 f"where entries[{origin[key]}] gives a different value"
             )
-        rubber[key] = value / coeff
         origin.setdefault(key, i)
-    _TABLES = {"dm": table, "rubber": rubber}
-    return _TABLES
+    _TABLES[name] = table
+    return table
+
+
+def _lookup(name: str, g: int, n: int, psi: tuple[int, ...] | int, lam: LamTuple) -> Fraction:
+    """A top-degree monomial's value from table ``name``: 0 in the relation
+    ideal, else the rewrite coefficient times the normal form's entry."""
+    table = _table(name)
+    normal = rewrite_lambda(g, lam)
+    if normal is None:
+        return Fraction(0)
+    coeff, lt = normal
+    value = table.get((g, n, psi, lt))
+    if value is None:
+        error, what = _MISSING[name]
+        shown = list(psi) if isinstance(psi, tuple) else psi
+        raise error(f"no {what} for g={g}, n={n}, psi={shown}, lambda={list(lt)}")
+    return coeff * value
 
 
 def reset_tables() -> None:
     """Drop cached tables (used after changing GWVERIFY_DATA_DIR)."""
-    global _TABLES
-    _TABLES = None
+    _TABLES.clear()
     _HODGE_MEMO.clear()
 
 
@@ -243,34 +256,15 @@ def _eval_uncached(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
             return total
         if psi and psi[-1] == 1:  # dilaton
             return (2 * g - 2 + n - 1) * _eval(g, psi[:-1], lam)
-    table = _load_tables()["dm"]
-    total = Fraction(0)
-    for coeff, lt in rewrite_lambda(g, lam):
-        val = table.get((g, n, psi, lt))
-        if val is None:
-            raise UnknownMonomial(
-                f"no table entry for g={g}, n={n}, psi={list(psi)}, lambda={list(lt)}"
-            )
-        total += coeff * val
-    return total
+    return _lookup("dm_intersections.json", g, n, psi, lam)
 
 
 def rubber_intersect(key: RubberKey) -> Fraction:
     """Table-backed rubber integral; unknown top-degree keys are an error."""
-    tables = _load_tables()["rubber"]
     if key.g == 0 and key.n < 3:
         raise UnknownRubberKey(f"genus-0 rubber needs n >= 3, got n={key.n}")
     if key.degree != key.dim:
         return Fraction(0)
     if key.g >= 1 and key.psi >= key.g:
         return Fraction(0)  # psi^g annihilates the genus-g rubber class
-    total = Fraction(0)
-    for coeff, lt in rewrite_lambda(key.g, key.lam):
-        val = tables.get((key.g, key.n, key.psi, lt))
-        if val is None:
-            raise UnknownRubberKey(
-                f"no rubber entry for g={key.g}, n={key.n}, psi={key.psi}, "
-                f"lambda={list(lt)}"
-            )
-        total += coeff * val
-    return total
+    return _lookup("rubber.json", key.g, key.n, key.psi, key.lam)

@@ -181,7 +181,8 @@ class TautClass:
         cls, base: BaseSpace, factor: int, name: str, index: Optional[int] = None
     ) -> "TautClass":
         """The generator ``name[factor]`` or ``name[factor,index]``."""
-        for slot, gen in enumerate(base.factors[factor].gens):
+        gens = base.factors[factor].gens if 0 <= factor < len(base.factors) else ()
+        for slot, gen in enumerate(gens):
             if gen[:2] == (name, index):
                 break
         else:
@@ -389,7 +390,9 @@ def mumford_product_check(g: int, w: EquivariantScalar) -> bool:
     base = BaseSpace((f,))
     reduced: dict[tuple[int, ...], EquivariantScalar] = {}
     for (e,), c in hodge_twist(base, 0, [w, -w]).terms.items():
-        for coeff, lt in rewrite_lambda(g, e[f.n :]):
+        normal = rewrite_lambda(g, e[f.n :])
+        if normal is not None:
+            coeff, lt = normal
             key = e[: f.n] + lt
             reduced[key] = reduced.get(key, ES_ZERO) + c.scale(coeff)
     reduced = {key: c for key, c in reduced.items() if not c.is_zero()}

@@ -310,7 +310,7 @@ def criterion_12_property_suites():
         lam = tuple(rng.randint(0, 5) for _ in range(g))
         nf1 = rewrite_lambda(g, lam)
         # alternative order: rewrite top-index relations first via two passes
-        coeff, cur, dead = Fraction(1), list(lam), False
+        coeff, cur, dead = 1, list(lam), False
         guard = 0
         while guard < 100:
             guard += 1
@@ -335,7 +335,7 @@ def criterion_12_property_suites():
                 cur[1] += 1
                 continue
             break
-        nf2 = [] if dead else [(coeff, tuple(cur))]
+        nf2 = None if dead else (coeff, tuple(cur))
         if nf1 != nf2:
             return False, f"confluence fails for genus {g} exponents {lam}"
 

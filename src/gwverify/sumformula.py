@@ -35,7 +35,6 @@ MAX_GRAPH_WEIGHT = 12
 
 @dataclass(frozen=True)
 class GraphVertex:
-    side: str          # "X" or "V"
     genus: int
     degree: int        # homology degree for the X side, fiber degree for the V side
     marks: int
@@ -267,8 +266,8 @@ def enumerate_graphs(
     if AdotV == 0:
         # the two one-vertex graphs: everything on one side or the other
         out = [
-            BipartiteGraph(GraphVertex("X", g, 0, k), (), ()),
-            BipartiteGraph(None, (GraphVertex("V", g, 0, k),), ((),)),
+            BipartiteGraph(GraphVertex(g, 0, k), (), ()),
+            BipartiteGraph(None, (GraphVertex(g, 0, k),), ((),)),
         ]
         if keep is not None:
             out = [graph for graph in out if all(map(keep, graph.v_vertices, graph.labels))]
@@ -288,7 +287,7 @@ def enumerate_graphs(
 
     def vertex(gv, d, comp):
         key = (gv, d, comp)
-        return v_pool.get(key) or v_pool.setdefault(key, GraphVertex("V", gv, d, 0, comp))
+        return v_pool.get(key) or v_pool.setdefault(key, GraphVertex(gv, d, 0, comp))
 
     def allowed(comp):
         if keep is None:
@@ -311,7 +310,7 @@ def enumerate_graphs(
         # graph appears once; the X-vertex takes the genus left over
         def genera(i, left, acc):
             if i == len(vertices):
-                graphs.append(BipartiteGraph(GraphVertex("X", left, 1, k), tuple(acc), labels))
+                graphs.append(BipartiteGraph(GraphVertex(left, 1, k), tuple(acc), labels))
                 return
             comp, d, ls = vertices[i]
             lo = acc[-1].genus if i and vertices[i] == vertices[i - 1] else 0

@@ -36,6 +36,8 @@ def test_thm1_command(capsys):
     assert code == 0 and out.strip() == "guaranteed"
     code, out, _ = run(capsys, "thm1", "--n", "1", "--g", "2", "--kappa", "nontrivial")
     assert code == 0 and "Example 2" in out
+    code, _, err = run(capsys, "thm1", "--n", "4", "--g", "3", "--primary")
+    assert code == 2 and "unrecognized arguments: --primary" in err
 
 
 def test_dim_command(capsys):
@@ -281,6 +283,30 @@ def test_corrupted_table_reports_error(capsys, tmp_path):
         code, out, err = run(capsys, "selftest")
         assert code == 3
         assert "rubber.json" in out + err
+    finally:
+        if old is None:
+            os.environ.pop("GWVERIFY_DATA_DIR", None)
+        else:
+            os.environ["GWVERIFY_DATA_DIR"] = old
+        _reset_data_caches()
+
+
+def test_selftest_reports_a_table_row_that_disagrees_after_normalisation(capsys, tmp_path):
+    # Table 1's lambda_1^6 = 16 lambda_1 lambda_2 lambda_3, so 1/90721 contradicts
+    # the other genus-3 rows on load, although no query reads that row
+    src = Path(hodge.__file__).parent / "data"
+    data = tmp_path / "data"
+    shutil.copytree(src, data)
+    dm = data / "tables" / "dm_intersections.json"
+    dm.write_text(dm.read_text().replace('"1/90720"', '"1/90721"', 1))
+    old = os.environ.get("GWVERIFY_DATA_DIR")
+    os.environ["GWVERIFY_DATA_DIR"] = str(data)
+    _reset_data_caches()
+    try:
+        code, out, err = run(capsys, "selftest")
+        assert code == 3
+        assert "ERROR" in out and "PASS" not in out
+        assert "entries[3]" in out + err and "entries[4]" in out + err
     finally:
         if old is None:
             os.environ.pop("GWVERIFY_DATA_DIR", None)

@@ -44,13 +44,13 @@ def test_rewrite_chain_genus3():
     assert hval(3, [], [0, 3, 0]) == Fraction(1, 725760) == 2 * Fraction(1, 1451520)
     # lambda_3^2 = 0
     assert hval(3, [], [0, 0, 2]) == 0
-    assert rewrite_lambda(3, (0, 0, 2)) == []
+    assert rewrite_lambda(3, (0, 0, 2)) is None
 
 
 def test_rewrite_genus1_and_2():
-    assert rewrite_lambda(1, (2,)) == []
-    assert rewrite_lambda(2, (2, 0)) == [(Fraction(2), (0, 1))]
-    assert rewrite_lambda(2, (0, 2)) == []
+    assert rewrite_lambda(1, (2,)) is None
+    assert rewrite_lambda(2, (2, 0)) == (2, (0, 1))
+    assert rewrite_lambda(2, (0, 2)) is None
     with pytest.raises(GenusOutOfRange):
         rewrite_lambda(4, (0, 0, 0, 0))
 
@@ -78,12 +78,12 @@ def test_rewrite_confluence_random():
         while True:
             applicable = [r for r in rules[g] if r[0](cur)]
             if not applicable:
-                random_nf = [(coeff, cur)]
+                random_nf = (coeff, cur)
                 break
             cond, act = rng.choice(applicable)
             c, new = act(cur)
             if c is None:
-                random_nf = []
+                random_nf = None
                 break
             coeff *= c
             cur = new
@@ -91,7 +91,7 @@ def test_rewrite_confluence_random():
 
 
 def test_relation_rewrite_monomial():
-    [(c, lam)] = rewrite_lambda(3, H(3, [1], [6, 0, 0]).lam)
+    c, lam = rewrite_lambda(3, H(3, [1], [6, 0, 0]).lam)
     assert c == 16 and lam == (1, 1, 1)
 
 
@@ -161,12 +161,12 @@ def test_every_table_entry_rederives_through_the_pipeline():
     # normal forms by lookup, non-normal ones through the relations, pure-psi
     # columns through the independent recursion, strippable ones through
     # string/dilaton
-    from gwverify.hodge import _load_tables
-
-    table = _load_tables()["dm"]
-    assert len(table) == 32
-    for (g, n, psi, lam), value in table.items():
-        assert hodge_intersect(HodgeMonomial(g, n, psi, lam)) == value
+    path = Path(hodge.__file__).parent / "data" / "tables" / "dm_intersections.json"
+    entries = json.loads(path.read_text())["entries"]
+    assert len(entries) == 32
+    for e in entries:
+        m = HodgeMonomial(e["g"], e["n"], tuple(e["psi"]), tuple(e["lambda"]))
+        assert hodge_intersect(m) == Fraction(e["value"])
 
 
 # -- mumford products ----------------------------------------------------------
@@ -246,14 +246,14 @@ def test_rubber_unknown_key():
     assert rubber_intersect(RubberKey(3, 1, (1, 0, 1))) == Fraction(1, 8) * Fraction(1, 8640)
 
 
-def _rubber_copy(tmp_path, monkeypatch, *extra):
-    """A data root whose rubber table has the given entries appended."""
+def _table_copy(tmp_path, monkeypatch, name, *extra):
+    """A data root whose table ``name`` has the given entries appended."""
     data = tmp_path / "data"
     shutil.copytree(Path(hodge.__file__).parent / "data", data)
-    rubber = data / "tables" / "rubber.json"
-    payload = json.loads(rubber.read_text())
+    table = data / "tables" / name
+    payload = json.loads(table.read_text())
     payload["entries"].extend(extra)
-    rubber.write_text(json.dumps(payload))
+    table.write_text(json.dumps(payload))
     monkeypatch.setenv("GWVERIFY_DATA_DIR", str(data))
     hodge.reset_tables()
     return len(payload["entries"]) - len(extra)
@@ -267,13 +267,14 @@ def restore_tables():
 
 def test_rubber_keys_are_normalised_on_load(tmp_path, monkeypatch, restore_tables):
     # lambda_1 lambda_2 = lambda_1^3 / 2, and lambda_2^2 = 0 on the genus-2 rubber
-    _rubber_copy(
+    _table_copy(
         tmp_path,
         monkeypatch,
+        "rubber.json",
         {"g": 2, "n": 0, "psi": 0, "lambda": [1, 1], "value": "1/2880"},
         {"g": 2, "n": 0, "psi": 0, "lambda": [0, 2], "value": "0"},
     )
-    table = hodge._load_tables()["rubber"]
+    table = hodge._table("rubber.json")
     # the shipped lambda_1^3 entry 1/1440 is stored on its normal form
     assert table[(2, 0, 0, (1, 1))] == Fraction(1, 2880)
     assert (2, 0, 0, (3, 0)) not in table and (2, 0, 0, (0, 2)) not in table
@@ -283,8 +284,11 @@ def test_rubber_keys_are_normalised_on_load(tmp_path, monkeypatch, restore_table
 def test_rubber_entry_in_the_relation_ideal_is_a_schema_error(
     tmp_path, monkeypatch, restore_tables
 ):
-    first = _rubber_copy(
-        tmp_path, monkeypatch, {"g": 2, "n": 0, "psi": 0, "lambda": [0, 2], "value": "1/5"}
+    first = _table_copy(
+        tmp_path,
+        monkeypatch,
+        "rubber.json",
+        {"g": 2, "n": 0, "psi": 0, "lambda": [0, 2], "value": "1/5"},
     )
     with pytest.raises(SchemaError, match=rf"rubber\.json: entries\[{first}\]: .*relation ideal"):
         rubber_intersect(RubberKey(2, 0, (3, 0)))
@@ -294,8 +298,75 @@ def test_rubber_entries_that_disagree_are_a_schema_error(
     tmp_path, monkeypatch, restore_tables
 ):
     # lambda_1 lambda_2 normalises onto the lambda_1^3 entry, at half its value
-    first = _rubber_copy(
-        tmp_path, monkeypatch, {"g": 2, "n": 0, "psi": 0, "lambda": [1, 1], "value": "1/1440"}
+    first = _table_copy(
+        tmp_path,
+        monkeypatch,
+        "rubber.json",
+        {"g": 2, "n": 0, "psi": 0, "lambda": [1, 1], "value": "1/1440"},
     )
     with pytest.raises(SchemaError, match=rf"rubber\.json: entries\[{first}\]: .*entries\[9\]"):
         rubber_intersect(RubberKey(2, 0, (3, 0)))
+
+
+def test_dm_rows_that_disagree_are_a_schema_error(tmp_path, monkeypatch, restore_tables):
+    # lambda_1^4 lambda_2 = 8 lambda_1 lambda_2 lambda_3; the first row on that
+    # normal form is lambda_1^6 = 1/90720 (entries[3]), which gives 8/181440
+    first = _table_copy(
+        tmp_path,
+        monkeypatch,
+        "dm_intersections.json",
+        {"g": 3, "n": 0, "psi": [], "lambda": [4, 1, 0], "value": "1/181441"},
+    )
+    with pytest.raises(
+        SchemaError, match=rf"dm_intersections\.json: entries\[{first}\]: .*entries\[3\]"
+    ):
+        hval(3, [], [1, 1, 1])
+
+
+def test_dm_row_in_the_relation_ideal_is_a_schema_error(tmp_path, monkeypatch, restore_tables):
+    first = _table_copy(
+        tmp_path,
+        monkeypatch,
+        "dm_intersections.json",
+        {"g": 3, "n": 0, "psi": [], "lambda": [0, 0, 2], "value": "1/5"},
+    )
+    with pytest.raises(
+        SchemaError, match=rf"dm_intersections\.json: entries\[{first}\]: .*relation ideal"
+    ):
+        hval(3, [], [1, 1, 1])
+
+
+def test_each_table_is_read_on_first_use(tmp_path, monkeypatch, restore_tables):
+    _table_copy(tmp_path, monkeypatch, "rubber.json")
+    tables = tmp_path / "data" / "tables"
+    (tables / "rubber.json").unlink()
+    assert hval(3, [], [6, 0, 0]) == Fraction(1, 90720)
+    (tables / "dm_intersections.json").unlink()
+    (tables / "rubber.json").write_text(
+        (Path(hodge.__file__).parent / "data" / "tables" / "rubber.json").read_text()
+    )
+    hodge.reset_tables()
+    assert rubber_intersect(RubberKey(2, 0, (3, 0))) == Fraction(1, 1440)
+
+
+@pytest.mark.parametrize(
+    "name, row, query",
+    [
+        (
+            "dm_intersections.json",
+            {"g": 1, "n": 1, "psi": 1, "lambda": [0], "value": "1/24"},
+            lambda: hval(3, [], [1, 1, 1]),
+        ),
+        (
+            "rubber.json",
+            {"g": 1, "n": 0, "psi": [0], "lambda": [1], "value": "1/24"},
+            lambda: rubber_intersect(RubberKey(2, 0, (3, 0))),
+        ),
+    ],
+)
+def test_a_row_with_the_other_tables_psi_is_a_schema_error(
+    tmp_path, monkeypatch, restore_tables, name, row, query
+):
+    first = _table_copy(tmp_path, monkeypatch, name, row)
+    with pytest.raises(SchemaError, match=rf"{name}: entries\[{first}\]"):
+        query()

@@ -186,9 +186,9 @@ def _brute_force_keys(g, AdotV, k, components):
             if x_genus < 0:
                 continue
             decorations = Counter(
-                (GraphVertex("V", gv, d, 0, comp), ls) for (comp, d, ls), gv in zip(vertices, genera)
+                (GraphVertex(gv, d, 0, comp), ls) for (comp, d, ls), gv in zip(vertices, genera)
             )
-            keys.add((GraphVertex("X", x_genus, 1, k), frozenset(decorations.items())))
+            keys.add((GraphVertex(x_genus, 1, k), frozenset(decorations.items())))
     return keys
 
 
@@ -278,16 +278,16 @@ def test_resource_bound():
 def test_filter_rejects_wrong_shapes():
     # a genus-0 vertex with a label-2 edge never contributes
     g = BipartiteGraph(
-        GraphVertex("X", 3, 1, 1),
-        (GraphVertex("V", 0, 2, 0),),
+        GraphVertex(3, 1, 1),
+        (GraphVertex(0, 2, 0),),
         ((2,),),
     )
     g.validate(3, 2, 1)
     assert not vanishing_filter(g, 4, True, 3)
     # a top-genus vertex with two edges is rejected
     g2 = BipartiteGraph(
-        GraphVertex("X", 1, 1, 1),
-        (GraphVertex("V", 3, 2, 0),),
+        GraphVertex(1, 1, 1),
+        (GraphVertex(3, 2, 0),),
         ((1, 1),),
     )
     # genus budget: 1 + 3 + g_graph(= 2 - 2 + 1 = 1) ... validate against g = 5 is
@@ -295,8 +295,8 @@ def test_filter_rejects_wrong_shapes():
     assert not vanishing_filter(g2, 4, True, 3)
     # genus-1 vertex under the lemma hypotheses is rejected
     g3 = BipartiteGraph(
-        GraphVertex("X", 2, 1, 2),
-        (GraphVertex("V", 1, 1, 0),),
+        GraphVertex(2, 1, 2),
+        (GraphVertex(1, 1, 0),),
         ((1,),),
     )
     assert not vanishing_filter(g3, 1, False, 2)
@@ -310,7 +310,7 @@ def test_vertex_rule_and_verdict_disagree_in_one_cell():
     for n in range(1, 8):
         for g in range(1, 5):
             for kappa in (True, False):
-                vertex = GraphVertex("V", g, 1, 0)
+                vertex = GraphVertex(g, 1, 0)
                 admitted = sumformula.vertex_contributes(vertex, (1,), n, kappa, g)
                 verdict = thm1_verdict(setting(n=n, g=g, kappa_trivial=kappa))
                 if admitted != (verdict.status == NOT_GUARANTEED):
