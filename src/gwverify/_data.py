@@ -25,12 +25,14 @@ def load_json(*parts: str) -> tuple[Any, str]:
     """Load a JSON data file; returns (payload, display path)."""
     node = data_root()
     for p in parts:
-        node = node.joinpath(p) if hasattr(node, "joinpath") else node / p
+        node = node.joinpath(p)
     where = str(node)
     try:
         text = node.read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise SchemaError(f"{where}: data file missing") from exc
+    except OSError as exc:
+        raise SchemaError(f"{where}: cannot read data file ({exc.strerror})") from exc
     try:
         return json.loads(text), where
     except json.JSONDecodeError as exc:

@@ -3,14 +3,17 @@
 Subcommands: psi, hodge, chern, gw10, localize, graphs, thm1, dim, verify,
 selftest.  Every numeric output is an exact rational; exit status is 0 on
 PASS, 1 on FAIL (an expectation did not match), 2 on usage or parse errors,
-and 3 on internal errors.  The environment variable GWVERIFY_DATA_DIR
-overrides the packaged data-file root.
+and 3 on internal errors.  Each ``cmd_*`` returns a report or the lines it
+prints; :func:`main` alone prints them and turns a report's status into the
+exit status.  The environment variable GWVERIFY_DATA_DIR overrides the
+packaged data-file root.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Iterator
 
 from .chern import (
     degree_correction_genus3,
@@ -25,7 +28,6 @@ from .errors import (
     GwError,
     NonConstantSum,
     ParseError,
-    SchemaError,
     UnknownMonomial,
     UnknownRubberKey,
 )
@@ -83,18 +85,16 @@ def _space(name: str):
     return projective_space(int(name[1:]))
 
 
-def cmd_psi(args) -> int:
+def cmd_psi(args) -> list[str]:
     key = PsiKey(args.g, tuple(_ints(args.exponents)))
-    print(rat_to_str(psi_intersect(key)))
-    return 0
+    return [rat_to_str(psi_intersect(key))]
 
 
-def cmd_hodge(args) -> int:
+def cmd_hodge(args) -> list[str]:
     psi = tuple(_ints(args.psi)) if args.psi else (0,) * args.n
     lam = tuple(_ints(getattr(args, "lambda"))) if getattr(args, "lambda") else (0,) * args.g
     monomial = HodgeMonomial(args.g, args.n, psi, lam)
-    print(rat_to_str(hodge_intersect(monomial)))
-    return 0
+    return [rat_to_str(hodge_intersect(monomial))]
 
 
 def _chern_vector(data) -> str:
@@ -105,7 +105,7 @@ def _chern_vector(data) -> str:
     return " ".join(parts)
 
 
-def cmd_chern(args) -> int:
+def cmd_chern(args) -> VerificationReport:
     X = _space(args.space)
     report = VerificationReport(command="chern")
     report.add(f"total chern class of {X.name}", _chern_vector(X))
@@ -120,11 +120,10 @@ def cmd_chern(args) -> int:
                 rat_to_str(degree_correction_genus3(V)),
                 "Lemma 4.4 bracket with the degree-4 factor",
             )
-    print(report.to_json() if args.json else report.to_text())
-    return 0
+    return report
 
 
-def cmd_gw10(args) -> int:
+def cmd_gw10(args) -> list[str]:
     X = _space(args.X)
     V = hypersurface(X.dim, args.V) if args.V is not None else None
     if args.insertion == "j":
@@ -133,11 +132,10 @@ def cmd_gw10(args) -> int:
         insertion = ("alpha", rat_from_str(args.insertion.split(":", 1)[1]))
     else:
         raise ParseError(f"insertion must be 'j' or 'alpha:<mult>', got {args.insertion!r}")
-    print(rat_to_str(gw_genus1_deg0(X, V, insertion)))
-    return 0
+    return [rat_to_str(gw_genus1_deg0(X, V, insertion))]
 
 
-def cmd_localize(args) -> int:
+def cmd_localize(args) -> VerificationReport:
     problem = resolve_problem(args.config)
     report = VerificationReport(command=f"localize {problem.label}")
     for spec in problem.loci:
@@ -160,23 +158,22 @@ def cmd_localize(args) -> int:
         weights = [rat_from_str(w) for w in args.eval.split(",")]
         value = problem_numeric_total(problem, weights)
         report.add(f"evaluation at ({args.eval})", rat_to_str(value))
-    print(report.to_json() if args.json else report.to_text())
-    return 0 if report.status == "PASS" else 1
+    return report
 
 
-def cmd_graphs(args) -> int:
+def cmd_graphs(args) -> Iterator[str]:
+    """Yields its lines one at a time: example 3 at delta = 12 has 6,602."""
     rows = example_graphs(args.example, args.delta)
     total = len(rows)
     if args.surviving:
         rows = [(graph, keep) for graph, keep in rows if keep]
     for graph, keep in rows:
         flag = "contributes" if keep else "vanishes"
-        print(f"{flag:11s}  {graph.describe()}")
-    print(f"{sum(1 for _, keep in rows if keep)} of {total} graphs contribute")
-    return 0
+        yield f"{flag:11s}  {graph.describe()}"
+    yield f"{sum(1 for _, keep in rows if keep)} of {total} graphs contribute"
 
 
-def cmd_thm1(args) -> int:
+def cmd_thm1(args) -> list[str]:
     s = GwSetting(
         n=args.n,
         g=args.g,
@@ -186,11 +183,10 @@ def cmd_thm1(args) -> int:
         A_is_zero=(args.A == "zero"),
         kappa_trivial=args.kappa == "trivial",
     )
-    print(thm1_verdict(s))
-    return 0
+    return [thm1_verdict(s)]
 
 
-def cmd_dim(args) -> int:
+def cmd_dim(args) -> list[str]:
     s = GwSetting(
         n=args.n,
         g=args.g,
@@ -201,23 +197,16 @@ def cmd_dim(args) -> int:
         kappa_trivial=True,
     )
     contact = _ints(args.s) if args.s is not None else None
-    print(vir_dim(s, contact))
-    return 0
+    return [str(vir_dim(s, contact))]
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> VerificationReport:
     delta = "symbolic" if args.symbolic or args.delta is None else args.delta
-    report = assemble_example(args.example, delta, n=args.n)
-    print(report.to_json() if args.json else report.to_text())
-    return 0 if report.status == "PASS" else 1
+    return assemble_example(args.example, delta, n=args.n)
 
 
-def cmd_selftest(args) -> int:
-    report = run_selftest()
-    print(report.to_json() if args.json else report.to_text())
-    if report.status == "PASS":
-        return 0
-    return 3 if report.error else 1
+def cmd_selftest(args) -> VerificationReport:
+    return run_selftest()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -306,15 +295,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.fn(args)
+        out = args.fn(args)
+        if isinstance(out, VerificationReport):
+            print(out.to_json() if args.json else out.to_text())
+            return {"PASS": 0, "FAIL": 1, "ERROR": 3}[out.status]
+        for line in out:
+            print(line)
+        return 0
     except (ExpectationMismatch, NonConstantSum) as exc:
         # both subclass ValueError, but they are failed checks, not usage errors
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except (
         DenominatorVanishes,  # only --eval substitutes weights, and the user gives them
-        ParseError,
-        SchemaError,
         UnknownMonomial,
         UnknownRubberKey,
         ValueError,

@@ -105,4 +105,4 @@ class InternalMismatch(GwError, AssertionError):
 # -- sum formula -----------------------------------------------------------
 
 class ContactMismatch(GwError, ValueError):
-    """Contact vector does not sum to A.V."""
+    """Contact vector has an entry below 1 or does not sum to A.V."""

@@ -7,20 +7,24 @@ Grammar (whitespace-insensitive):
     signed  := '-' signed | atom ('^' INT)?
     atom    := INT | ident | '(' expr ')'
               | 'hodgetwist' '(' INT ';' expr (',' expr)* ')'
-    ident   := 'psi[f,i]' | 'lam[f,j]' | 'x[f]' | 'psiinf[f]' | 'a1' | 'a2'
+    ident   := 'a1' | 'a2' | gen
+    gen     := NAME '[' INT (',' INT)? ']'
 
 Rationals are spelled as divisions of integers (for instance ``5/165888``);
 division requires a scalar (degree-0, invertible) right-hand side.  Weight
 scalars are homogeneous in ``a1, a2``: adding scalars of different degrees,
 as in ``a1 + 1``, raises :class:`Inhomogeneous`.
 ``hodgetwist(g; w1, ...)`` attaches to the unique genus-g factor of the base.
+A ``gen`` such as ``psi[0,1]`` or ``x[1]`` is looked up by
+:meth:`TautClass.generator` in the ``gens`` of the base's factors, so a name
+or index the base does not have raises :class:`BaseMismatch`.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import BaseMismatch, Inhomogeneous, ParseError
+from .errors import Inhomogeneous, ParseError
 from .ring import BaseSpace, TautClass, hodge_twist_by_genus
 from .scalars import EquivariantScalar
 
@@ -107,6 +111,12 @@ class _Parser:
                 out = out.scale(scalar.inverse())
         return out
 
+    def integer(self, what: str) -> int:
+        kind, val, pos = self.next()
+        if kind != "int":
+            raise ParseError(f"expected {what} at position {pos}")
+        return int(val)
+
     def signed(self) -> TautClass:
         if self.peek()[1] == "-":
             self.next()
@@ -114,10 +124,7 @@ class _Parser:
         out = self.atom()
         if self.peek()[1] == "^":
             self.next()
-            kind, val, pos = self.next()
-            if kind != "int":
-                raise ParseError(f"expected integer exponent at position {pos}")
-            out = out**int(val)
+            out = out ** self.integer("integer exponent")
         return out
 
     def atom(self) -> TautClass:
@@ -136,42 +143,21 @@ class _Parser:
             return TautClass.scalar(self.base, EquivariantScalar.weight(2))
         if val == "hodgetwist":
             self.expect("(")
-            kind, gval, pos = self.next()
-            if kind != "int":
-                raise ParseError(f"expected genus at position {pos}")
+            genus = self.integer("genus")
             self.expect(";")
             weights = [self.expr()]
             while self.peek()[1] == ",":
                 self.next()
                 weights.append(self.expr())
             self.expect(")")
-            return hodge_twist_by_genus(self.base, int(gval), weights)
-        if val in ("psi", "lam", "x", "psiinf"):
-            self.expect("[")
-            idx = []
-            kind, v, pos = self.next()
-            if kind != "int":
-                raise ParseError(f"expected factor index at position {pos}")
-            idx.append(int(v))
-            while self.peek()[1] == ",":
-                self.next()
-                kind, v, pos = self.next()
-                if kind != "int":
-                    raise ParseError(f"expected index at position {pos}")
-                idx.append(int(v))
-            self.expect("]")
-            try:
-                if val in ("psi", "lam"):
-                    factor, index = idx
-                else:
-                    (factor,) = idx
-                    index = None
-                return TautClass.generator(self.base, factor, val, index)
-            except BaseMismatch:
-                raise
-            except ValueError as exc:
-                raise ParseError(f"bad indices for {val} in {self.text!r}: {exc}") from exc
-        raise ParseError(f"unknown identifier {val!r} at position {pos}")
+            return hodge_twist_by_genus(self.base, genus, weights)
+        self.expect("[")
+        factor, index = self.integer("factor index"), None
+        if self.peek()[1] == ",":
+            self.next()
+            index = self.integer("index")
+        self.expect("]")
+        return TautClass.generator(self.base, factor, val, index)
 
 
 def parse_class(text: str, base: BaseSpace) -> TautClass:

@@ -276,6 +276,8 @@ def load_problem(path: str | Path) -> LocalizationProblem:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
         raise SchemaError(f"{path}: no such diagram file") from exc
+    except OSError as exc:
+        raise SchemaError(f"{path}: cannot read diagram file ({exc.strerror})") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
     return parse_problem(payload, str(path))

@@ -126,6 +126,8 @@ def vir_dim(setting: GwSetting, s: Optional[Sequence[int]] = None) -> int:
     if s is None:
         return 2 * base
     s = tuple(s)
+    if any(si < 1 for si in s):
+        raise ContactMismatch(f"contact orders must be positive, got {s}")
     if sum(s) != setting.AdotV:
         raise ContactMismatch(f"contact vector {s} does not sum to {setting.AdotV}")
     return 2 * (base + len(s) - sum(s))

@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 from pathlib import Path
 
@@ -243,6 +245,54 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "localize", "--config", "no/such/file.json")
     assert code == 2 and "diagram" in err
+
+
+def test_unreadable_path_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    code, out, err = run(capsys, "localize", "--config", str(tmp_path))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: {tmp_path}: cannot read diagram file"), err
+    # a data root that is a regular file
+    root = tmp_path / "data"
+    root.write_text("")
+    monkeypatch.setenv("GWVERIFY_DATA_DIR", str(root))
+    _reset_data_caches()
+    try:
+        for argv in (
+            ("hodge", "--g", "2", "--n", "1", "--psi", "3", "--lambda", "1,0"),
+            ("localize", "--config", "fig7"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "", argv
+            assert err.startswith(f"error: {root}") and "cannot read data file" in err, argv
+    finally:
+        _reset_data_caches()
+
+
+def test_non_positive_contact_order_is_a_usage_error(capsys):
+    code, out, err = run(
+        capsys, "dim", "--n", "4", "--g", "3", "--k", "1", "--c1A", "5",
+        "--AdotV", "3", "--s", "3,0",
+    )
+    assert code == 2 and out == ""
+    assert err == "error: contact orders must be positive, got (3, 0)\n"
+
+
+def test_readme_cli_block(capsys, monkeypatch):
+    # every command of the README's CLI block runs from the repository root,
+    # and a rational in its comment is exactly what it prints
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## CLI\n\n```sh\n(.*?)^```", readme, re.M | re.S).group(1)
+    lines = [line for line in block.splitlines() if line.startswith("gwverify ")]
+    assert lines
+    monkeypatch.chdir(root)
+    for line in lines:
+        command, _, comment = line.partition("#")
+        code, out, _ = run(capsys, *shlex.split(command)[1:])
+        assert code == 0, line
+        comment = comment.strip()
+        if re.fullmatch(r"-?\d+(/\d+)?", comment):
+            assert out == comment + "\n", line
 
 
 def test_unknown_monomial_is_an_input_error(capsys):

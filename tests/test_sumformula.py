@@ -47,6 +47,8 @@ def test_vir_dim_relative_all_ones():
     assert vir_dim(s, s=[1] * 6) == vir_dim(s)
     with pytest.raises(ContactMismatch):
         vir_dim(s, s=[2, 1])
+    with pytest.raises(ContactMismatch, match=r"^contact orders must be positive, got \(3, 0\)$"):
+        vir_dim(setting(n=4, g=3, k=1, AdotV=3, c1A=5), s=(3, 0))
 
 
 def test_vir_dim_all_ones_property():
