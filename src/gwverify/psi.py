@@ -1,23 +1,28 @@
 """Pure psi-class intersection numbers <psi_1^a1 ... psi_n^an> on the moduli
 space of stable curves.
 
-The recursion runs on normalised values N(g; a) = <prod tau_{a_i}>_g *
-prod (2a_i+1)!!, seeded with <tau_0^3>_0 = 1 and <tau_1>_1 = 1/24.  A key
-with a 0 or 1 exponent is reduced by the string or dilaton equation; any
-other key by one step of the Virasoro/KdV recursion (Dijkgraaf-Verlinde-
-Verlinde form) on its largest exponent.  It exists here as an independent
-oracle: any correct pure-psi recursion is acceptable.  The DVV step holds at
-every point of every key but the two seeds, so ``dvv_expand`` double-checks
-the keys the recursion reduced by string or dilaton.
+The recursion runs on scaled values M(g; a) = 2^(2g-2+n) 24^g
+prod (2a_i+1)!! <prod tau_{a_i}>_g, seeded with M(0; 0,0,0) = 2 and
+M(1; 1) = 6.  A key with a 0 or 1 exponent is reduced by the string or
+dilaton equation; any other key by one step of the Virasoro/KdV recursion
+(Dijkgraaf-Verlinde-Verlinde form) on its largest exponent.  Against a key's
+scale, a term with one point fewer and a separating product each carry 1/2,
+and the nonseparating term, one genus lower and one point more, 1/48; so the
+coefficients are integers (2 for string, dilaton and the DVV merge sum, 24
+and 1 for the DVV's nonseparating and separating terms), every M is an
+integer, and no step divides.  Only ``psi_intersect`` and ``dvv_expand``
+build a Fraction.  This is an independent oracle: any correct pure-psi
+recursion is acceptable.  The DVV step holds at every point of every key but
+the two seeds, so ``dvv_expand`` double-checks the keys the recursion reduced
+by string or dilaton.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 from .errors import (
     NoUnitExponent,
@@ -56,68 +61,63 @@ class PsiKey:
 
 
 def _check_bounds(key: PsiKey) -> None:
-    if key.n < 1 or not key.is_stable():
-        raise UnstableInput(f"(g, n) = ({key.genus}, {key.n}) is unstable")
-    if key.genus > MAX_GENUS or key.n > MAX_POINTS:
+    g, n = key.genus, len(key.exponents)
+    if 2 * g - 2 + n <= 0:
+        raise UnstableInput(f"(g, n) = ({g}, {n}) is unstable")
+    if g > MAX_GENUS or n > MAX_POINTS:
         raise ResourceBound(
             f"inputs above g = {MAX_GENUS} or n = {MAX_POINTS} are rejected"
         )
 
 
-@lru_cache(maxsize=None)
-def _dfact(k: int) -> int:
-    """(2k+1)!! for k >= -1; the k = -1 value is 1."""
-    out = 1
-    for i in range(3, 2 * k + 2, 2):
-        out *= i
-    return out
+# (2k+1)!! up to the largest exponent of a balanced key inside the bounds
+_DFACT = tuple(prod(range(1, 2 * k + 2, 2)) for k in range(3 * MAX_GENUS - 2 + MAX_POINTS))
 
 
-def _dfprod(exps: tuple[int, ...]) -> int:
-    """prod (2a+1)!! over the exponents."""
-    out = 1
+def _scale(g: int, exps: tuple[int, ...]) -> int:
+    """2^(2g-2+n) 24^g prod (2a_i+1)!!, the ratio M(g; a) / <tau_a>_g."""
+    out = (1 << 2 * g - 2 + len(exps)) * 24**g
     for a in exps:
-        out *= _dfact(a)
+        out *= _DFACT[a]
     return out
 
 
-# (g, exponents) -> (intersection number, normalised value N); values are
-# deterministic, so unsynchronized concurrent writes are benign
-_MEMO: dict[tuple[int, tuple[int, ...]], tuple[Fraction, Fraction]] = {}
+# (g, exponents) -> M(g; a), an int; values are deterministic, so
+# unsynchronized concurrent writes are benign
+_MEMO: dict[tuple[int, tuple[int, ...]], int] = {}
 
 
-def _norm(g: int, exps: tuple[int, ...]) -> Fraction:
-    """N(g; a) = <prod tau_{a_i}>_g * prod (2a_i+1)!! for a stable key of
-    matching dimension with descending exponents."""
-    cached = _MEMO.get((g, exps))
-    if cached is None:
-        norm = _recurse_uncached(g, exps)
-        cached = _MEMO[(g, exps)] = (norm / _dfprod(exps), norm)
-    return cached[1]
+def _norm(g: int, exps: tuple[int, ...]) -> int:
+    """M(g; a) = 2^(2g-2+n) 24^g prod (2a_i+1)!! <prod tau_{a_i}>_g for a
+    stable key of matching dimension with descending exponents."""
+    value = _MEMO.get((g, exps))
+    if value is None:
+        value = _MEMO[(g, exps)] = _recurse_uncached(g, exps)
+    return value
 
 
-def _recurse_uncached(g: int, exps: tuple[int, ...]) -> Fraction:
-    """N(g; a) by one step: the seeds, else dilaton or string when removing
+def _recurse_uncached(g: int, exps: tuple[int, ...]) -> int:
+    """M(g; a) by one step: the seeds, else dilaton or string when removing
     a point leaves a stable (g, n - 1), else DVV on the largest exponent."""
     if g == 0 and exps == (0, 0, 0):
-        return Fraction(1)
+        return 2
     if g == 1 and exps == (1,):
-        return Fraction(3, 24)  # 3!! <tau_1>_1
+        return 6  # 2 * 24 * 3!! <tau_1>_1
     n = len(exps)
     if 2 * g - 3 + n > 0:
         if 1 in exps:
-            # dilaton: N(g; 1, A) = 3 (2g - 2 + |A|) N(g; A)
+            # dilaton: M(g; 1, A) = 6 (2g - 2 + |A|) M(g; A)
             i = exps.index(1)
-            return 3 * (2 * g - 3 + n) * _norm(g, exps[:i] + exps[i + 1 :])
+            return 6 * (2 * g - 3 + n) * _norm(g, exps[:i] + exps[i + 1 :])
         if exps[-1] == 0:
-            # string: N(g; 0, A) = sum_j (2a_j + 1) N(g; A with a_j lowered)
+            # string: M(g; 0, A) = 2 sum_j (2a_j + 1) M(g; A with a_j lowered)
             rest = exps[:-1]
-            total = Fraction(0)
+            total = 0
             for i, m, a in _runs(rest):
                 if a:
                     lowered = rest[:i] + (a - 1,) + rest[i + 1 :]
                     total += m * (2 * a + 1) * _norm(g, lowered)
-            return total
+            return 2 * total
     return _dvv(g, exps, 0)
 
 
@@ -131,33 +131,34 @@ def _runs(exps: tuple[int, ...]):
             start = i + 1
 
 
-def _dvv(g: int, exps: tuple[int, ...], point: int) -> Fraction:
-    """N(g; a) by one DVV step on the given point (an index into exps):
+def _dvv(g: int, exps: tuple[int, ...], point: int) -> int:
+    """M(g; a) by one DVV step on the given point (an index into exps):
 
-    N(g; a, A) = sum_j (2a_j + 1) N(g; a + a_j - 1, A - a_j)
-               + 1/2 sum_{b + c = a - 2} [ N(g - 1; b, c, A)
-                   + sum_{I + J = A} N(g_1; b, I) N(g_2; c, J) ]
+    M(g; a, A) = 2 sum_j (2a_j + 1) M(g; a + a_j - 1, A - a_j)
+               + sum_{b + c = a - 2} [ 24 M(g - 1; b, c, A)
+                   + sum_{I + J = A} M(g_1; b, I) M(g_2; c, J) ]
 
     Separating splits are sub-multisets I of A weighted by prod C(m_k, i_k);
     g_1 comes from the dimension equation b + sum(I) = 3 g_1 - 2 + |I|, and a
     split without an integral, stable g_1 and g_2 is skipped unevaluated."""
     a1, rest = exps[point], exps[:point] + exps[point + 1 :]
-    total = Fraction(0)
+    total = 0
     for i, m, aj in _runs(rest):
         if a1 + aj >= 1:
             merged = tuple(sorted(rest[:i] + (a1 + aj - 1,) + rest[i + 1 :], reverse=True))
             total += m * (2 * aj + 1) * _norm(g, merged)
+    total *= 2
     if a1 < 2:
         return total
     # the boundary sum is symmetric under (b, I) <-> (c, J): take b <= c,
-    # and halve only the b = c term
+    # and count a b < c term twice
     nonseparating = g >= 1 and 2 * g - 2 + len(rest) > 0
     splits = _splits(rest)
     for b in range(a1 // 2):
         c = a1 - 2 - b
-        term = Fraction(0)
+        term = 0
         if nonseparating:
-            term += _norm(g - 1, tuple(sorted((b, c) + rest, reverse=True)))
+            term += 24 * _norm(g - 1, tuple(sorted((b, c) + rest, reverse=True)))
         for size, dim1, weight, left, right in splits:
             g1, r = divmod(b + dim1 + 2 - size, 3)
             g2 = g - g1
@@ -168,7 +169,7 @@ def _dvv(g: int, exps: tuple[int, ...], point: int) -> Fraction:
                 * _norm(g1, tuple(sorted((b,) + left, reverse=True)))
                 * _norm(g2, tuple(sorted((c,) + right, reverse=True)))
             )
-        total += term if b < c else term / 2
+        total += 2 * term if b < c else term
     return total
 
 
@@ -192,11 +193,8 @@ def psi_intersect(key: PsiKey) -> Fraction:
     _check_bounds(key)
     if sum(key.exponents) != key.dim:
         return Fraction(0)
-    cached = _MEMO.get((key.genus, key.exponents))
-    if cached is None:
-        _norm(key.genus, key.exponents)
-        cached = _MEMO[(key.genus, key.exponents)]
-    return cached[0]
+    g, exps = key.genus, key.exponents
+    return Fraction(_norm(g, exps), _scale(g, exps))
 
 
 def dvv_expand(key: PsiKey, point: int = 0) -> Fraction:
@@ -210,7 +208,8 @@ def dvv_expand(key: PsiKey, point: int = 0) -> Fraction:
     _check_bounds(key)
     if sum(key.exponents) != key.dim:
         return Fraction(0)
-    return _dvv(key.genus, key.exponents, point) / _dfprod(key.exponents)
+    g, exps = key.genus, key.exponents
+    return Fraction(_dvv(g, exps, point), _scale(g, exps))
 
 
 def string_reduce(key: PsiKey) -> list[PsiKey]:

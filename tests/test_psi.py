@@ -78,6 +78,38 @@ def test_dimension_gate():
     assert val(2, 3) == 0
     assert val(3, 6, 1) == 0
     assert val(1, 0) == 0
+    # the recursion runs on ints; the public value is always a Fraction
+    assert type(val(2, 3)) is Fraction
+    assert type(val(2, 4)) is Fraction
+
+
+def test_pointless_stable_key():
+    # M-bar_3 is stable: a key without points is answered by the dimension gate
+    key = PsiKey(3, ())
+    assert psi_intersect(key) == 0 and type(psi_intersect(key)) is Fraction
+    assert dvv_expand(key) == 0
+    factor, reduced = dilaton_reduce(PsiKey(3, (1,)))
+    assert reduced == key
+    assert factor * psi_intersect(reduced) == val(3, 1)
+    for g in (0, 1):
+        with pytest.raises(UnstableInput):
+            psi_intersect(PsiKey(g, ()))
+
+
+def test_pointless_stable_key_cli(capsys):
+    from gwverify.cli import main
+
+    assert main(["psi", "--g", "3", "--exponents", ""]) == 0
+    assert capsys.readouterr().out.strip() == "0"
+
+
+def test_one_point_closed_form():
+    # <tau_{3g-2}>_g = 1/(24^g g!): each genus step takes the nonseparating
+    # DVV term, so this pins its coefficient at every genus of the box
+    import math
+
+    for g in range(1, 7):
+        assert val(g, 3 * g - 2) == Fraction(1, 24**g * math.factorial(g)), g
 
 
 def test_symmetry():
@@ -150,6 +182,8 @@ def test_string_dilaton_closure_on_memoized_keys():
             for exps in itertools.combinations_with_replacement(range(dim + 1), n):
                 if sum(exps) == dim:
                     val(g, *exps)
+    # a Fraction in the memo would slow the recursion without changing a value
+    assert all(type(v) is int for v in psi._MEMO.values())
     keys = memoized_keys()
     assert len(keys) > 50
     dvv_checked = 0
