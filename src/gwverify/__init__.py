@@ -59,7 +59,6 @@ from .scalars import (
 from .selftest import run_selftest
 from .sumformula import (
     BipartiteGraph,
-    GwSetting,
     Verdict,
     assemble_example,
     enumerate_graphs,
@@ -80,7 +79,6 @@ __all__ = [
     "DeltaPoly",
     "EquivariantScalar",
     "FixedLocusSpec",
-    "GwSetting",
     "HodgeMonomial",
     "LocalizationProblem",
     "PointFactor",

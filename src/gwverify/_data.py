@@ -21,19 +21,24 @@ def data_root():
     return resources.files("gwverify").joinpath("data")
 
 
+def read_json(source, noun: str) -> Any:
+    """Parse the JSON file at a path or packaged resource; a missing,
+    unreadable or malformed file is a SchemaError naming it as the noun."""
+    try:
+        text = source.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise SchemaError(f"{source}: no such {noun}") from exc
+    except OSError as exc:
+        raise SchemaError(f"{source}: cannot read {noun} ({exc.strerror})") from exc
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise SchemaError(f"{source}: invalid JSON ({exc})") from exc
+
+
 def load_json(*parts: str) -> tuple[Any, str]:
     """Load a JSON data file; returns (payload, display path)."""
     node = data_root()
     for p in parts:
         node = node.joinpath(p)
-    where = str(node)
-    try:
-        text = node.read_text(encoding="utf-8")
-    except FileNotFoundError as exc:
-        raise SchemaError(f"{where}: data file missing") from exc
-    except OSError as exc:
-        raise SchemaError(f"{where}: cannot read data file ({exc.strerror})") from exc
-    try:
-        return json.loads(text), where
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{where}: invalid JSON ({exc})") from exc
+    return read_json(node, "data file"), str(node)

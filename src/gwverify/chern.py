@@ -14,11 +14,13 @@ from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
-from .errors import InclusionUndeclared, InternalMismatch
+from .errors import InclusionUndeclared, InternalMismatch, ResourceBound
 from .hodge import HodgeMonomial, hodge_intersect
 from .scalars import DeltaPoly
 
 Coeff = Union[Fraction, DeltaPoly]
+
+MAX_DIM = 6  # ambient projective spaces are P1..P6
 
 
 def _ser_mul(a: list, b: list, n: int) -> list:
@@ -51,9 +53,15 @@ class ChernData:
         return self.total_chern[i] if i <= self.dim else Fraction(0)
 
 
-def projective_space(n: int) -> ChernData:
+def _check_dim(n: int) -> None:
     if n < 1:
         raise ValueError("projective space needs n >= 1")
+    if n > MAX_DIM:
+        raise ResourceBound(f"projective spaces are bounded by dimension {MAX_DIM}, got {n}")
+
+
+def projective_space(n: int) -> ChernData:
+    _check_dim(n)
     c = tuple(Fraction(comb(n + 1, i)) for i in range(n + 1))
     return ChernData(name=f"P{n}", dim=n, total_chern=c, degree_map=Fraction(1))
 
@@ -64,8 +72,7 @@ def hypersurface(n: int, delta) -> ChernData:
     The degree may be an integer or the symbolic generator; n = 1 gives the
     dimension-0 case (delta points on the line).
     """
-    if n < 1:
-        raise ValueError("ambient projective space needs n >= 1")
+    _check_dim(n)
     if isinstance(delta, int):
         delta = Fraction(delta)
     dim = n - 1

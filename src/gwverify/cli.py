@@ -43,7 +43,7 @@ from .psi import PsiKey, psi_intersect
 from .reports import VerificationReport
 from .scalars import rat_from_str, rat_to_str
 from .selftest import run_selftest
-from .sumformula import GwSetting, assemble_example, example_graphs, thm1_verdict, vir_dim
+from .sumformula import assemble_example, example_graphs, thm1_verdict, vir_dim
 
 
 def _ints(text: str) -> list[int]:
@@ -174,30 +174,12 @@ def cmd_graphs(args) -> Iterator[str]:
 
 
 def cmd_thm1(args) -> list[str]:
-    s = GwSetting(
-        n=args.n,
-        g=args.g,
-        k=0,
-        AdotV=0,
-        c1A=0,
-        A_is_zero=(args.A == "zero"),
-        kappa_trivial=args.kappa == "trivial",
-    )
-    return [thm1_verdict(s)]
+    return [thm1_verdict(args.n, args.g, args.A == "zero", args.kappa == "trivial")]
 
 
 def cmd_dim(args) -> list[str]:
-    s = GwSetting(
-        n=args.n,
-        g=args.g,
-        k=args.k,
-        AdotV=args.AdotV,
-        c1A=args.c1A,
-        A_is_zero=False,
-        kappa_trivial=True,
-    )
     contact = _ints(args.s) if args.s is not None else None
-    return [str(vir_dim(s, contact))]
+    return [str(vir_dim(args.n, args.g, args.k, args.c1A, contact, args.AdotV))]
 
 
 def cmd_verify(args) -> VerificationReport:

@@ -79,6 +79,8 @@ class _Parser:
             out = self.expr()
         except Inhomogeneous as exc:
             raise Inhomogeneous(f"{exc} in {self.text!r}") from None
+        except RecursionError:
+            raise ParseError("expression nested too deeply") from None
         kind, val, pos = self.peek()
         if kind != "eof":
             raise ParseError(f"unexpected {val!r} at position {pos} in {self.text!r}")

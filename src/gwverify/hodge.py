@@ -31,7 +31,7 @@ from .errors import (
     UnknownRubberKey,
     UnstableInput,
 )
-from .psi import PsiKey, psi_intersect
+from .psi import PsiKey, check_bounds, psi_intersect
 from .scalars import rat_from_str
 
 LamTuple = tuple[int, ...]
@@ -220,9 +220,11 @@ _HODGE_MEMO: dict[tuple, Fraction] = {}
 
 
 def hodge_intersect(m: HodgeMonomial) -> Fraction:
-    """Exact value of a mixed psi/lambda monomial against DM(g, n), g <= 3."""
+    """Exact value of a mixed psi/lambda monomial against DM(g, n), g <= 3;
+    n has the psi recursion's bound."""
     if m.g > 3:
         raise GenusOutOfRange(f"hodge oracle covers genus <= 3, got {m.g}")
+    check_bounds(m.g, m.n)
     if m.degree != m.dim:
         return Fraction(0)
     return _eval(m.g, tuple(sorted(m.psi, reverse=True)), m.lam)

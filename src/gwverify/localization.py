@@ -19,14 +19,13 @@ the sum of the term contributions.
 
 from __future__ import annotations
 
-import json
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ._data import load_json
+from ._data import load_json, read_json
 from .errors import (
     BaseMismatch,
     DenominatorVanishes,
@@ -272,15 +271,7 @@ def parse_problem(payload: dict, where: str) -> LocalizationProblem:
 def load_problem(path: str | Path) -> LocalizationProblem:
     """Load a diagram file from an explicit path."""
     path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError as exc:
-        raise SchemaError(f"{path}: no such diagram file") from exc
-    except OSError as exc:
-        raise SchemaError(f"{path}: cannot read diagram file ({exc.strerror})") from exc
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"{path}: invalid JSON ({exc})") from exc
-    return parse_problem(payload, str(path))
+    return parse_problem(read_json(path, "diagram file"), str(path))
 
 
 _PROBLEM_CACHE: dict[str, LocalizationProblem] = {}

@@ -60,8 +60,9 @@ class PsiKey:
         return 2 * self.genus - 2 + self.n > 0
 
 
-def _check_bounds(key: PsiKey) -> None:
-    g, n = key.genus, len(key.exponents)
+def check_bounds(g: int, n: int) -> None:
+    """Reject an unstable (g, n) and one above the bounds, which the Hodge
+    oracle shares."""
     if 2 * g - 2 + n <= 0:
         raise UnstableInput(f"(g, n) = ({g}, {n}) is unstable")
     if g > MAX_GENUS or n > MAX_POINTS:
@@ -190,7 +191,7 @@ def _splits(rest: tuple[int, ...]) -> list:
 
 def psi_intersect(key: PsiKey) -> Fraction:
     """Exact <psi^a> intersection number; 0 when the dimension balance fails."""
-    _check_bounds(key)
+    check_bounds(key.genus, len(key.exponents))
     if sum(key.exponents) != key.dim:
         return Fraction(0)
     g, exps = key.genus, key.exponents
@@ -205,7 +206,7 @@ def dvv_expand(key: PsiKey, point: int = 0) -> Fraction:
     <tau_0^3>_0 and <tau_1>_1.  The recursion takes it only on the largest
     exponent of keys it cannot reduce by string or dilaton, so at any other
     point it is an independent check of the recursion."""
-    _check_bounds(key)
+    check_bounds(key.genus, len(key.exponents))
     if sum(key.exponents) != key.dim:
         return Fraction(0)
     g, exps = key.genus, key.exponents
@@ -218,7 +219,7 @@ def string_reduce(key: PsiKey) -> list[PsiKey]:
     <tau_0 prod tau_{a_j}> = sum_j <tau_{a_j - 1} prod_{l != j} tau_{a_l}>;
     terms with a_j = 0 drop out.
     """
-    _check_bounds(key)
+    check_bounds(key.genus, len(key.exponents))
     if 0 not in key.exponents:
         raise NoZeroExponent(f"{key} has no psi-free marked point")
     rest = list(key.exponents)
@@ -237,7 +238,7 @@ def dilaton_reduce(key: PsiKey) -> tuple[int, PsiKey]:
 
     Returns (factor, reduced key) with factor = 2g - 2 + (n - 1).
     """
-    _check_bounds(key)
+    check_bounds(key.genus, len(key.exponents))
     if 1 not in key.exponents:
         raise NoUnitExponent(f"{key} has no psi-exponent-1 marked point")
     rest = list(key.exponents)

@@ -50,7 +50,6 @@ from .sumformula import (
     GENUS3_CORRECTION,
     GUARANTEED,
     NOT_GUARANTEED,
-    GwSetting,
     assemble_example,
     example_graphs,
     surviving_graphs,
@@ -241,11 +240,7 @@ def criterion_11_verdict_grid():
         for g in range(5):
             for kappa in (True, False):
                 for a_zero in (True, False):
-                    s = GwSetting(
-                        n=n, g=g, k=0, AdotV=0, c1A=0,
-                        A_is_zero=a_zero, kappa_trivial=kappa,
-                    )
-                    v = thm1_verdict(s)
+                    v = thm1_verdict(n, g, a_zero, kappa)
                     in_18 = (not (g == 1 and a_zero)) and (n - 5) * g * (g - 1) >= 0
                     if (v.status == GUARANTEED) != in_18:
                         return False, f"wrong guarantee at n={n}, g={g}"

@@ -95,41 +95,34 @@ class BipartiteGraph:
         return " | ".join(bits)
 
 
-@dataclass(frozen=True)
-class GwSetting:
-    n: int
-    g: int
-    k: int
-    AdotV: int
-    c1A: int
-    A_is_zero: bool
-    kappa_trivial: bool
-
-    def __post_init__(self):
-        if self.g < 0:
-            raise ValueError(f"genus must be nonnegative, got {self.g}")
-        if self.n < 1:
-            raise ValueError(f"dimension n must be at least 1, got {self.n}")
-        if self.k < 0:
-            raise ValueError(f"marked point count must be nonnegative, got {self.k}")
-        if self.AdotV < 0:
-            raise ValueError("A.V must be nonnegative")
-
-
 # ---------------------------------------------------------------------------
 # dimensions, hollowness, stability, verdicts
 # ---------------------------------------------------------------------------
 
-def vir_dim(setting: GwSetting, s: Optional[Sequence[int]] = None) -> int:
+def _check_setting(n: int, g: int, k: int = 0, AdotV: int = 0) -> None:
+    if g < 0:
+        raise ValueError(f"genus must be nonnegative, got {g}")
+    if n < 1:
+        raise ValueError(f"dimension n must be at least 1, got {n}")
+    if k < 0:
+        raise ValueError(f"marked point count must be nonnegative, got {k}")
+    if AdotV < 0:
+        raise ValueError("A.V must be nonnegative")
+
+
+def vir_dim(
+    n: int, g: int, k: int, c1A: int, s: Optional[Sequence[int]] = None, AdotV: int = 0
+) -> int:
     """Expected real dimension of the (relative) moduli space."""
-    base = setting.c1A + (setting.n - 3) * (1 - setting.g) + setting.k
+    _check_setting(n, g, k, AdotV)
+    base = c1A + (n - 3) * (1 - g) + k
     if s is None:
         return 2 * base
     s = tuple(s)
     if any(si < 1 for si in s):
         raise ContactMismatch(f"contact orders must be positive, got {s}")
-    if sum(s) != setting.AdotV:
-        raise ContactMismatch(f"contact vector {s} does not sum to {setting.AdotV}")
+    if sum(s) != AdotV:
+        raise ContactMismatch(f"contact vector {s} does not sum to {AdotV}")
     return 2 * (base + len(s) - sum(s))
 
 
@@ -177,22 +170,22 @@ def lemma_applies(n: int, g: int, A_is_zero: bool) -> bool:
     return not (g == 1 and A_is_zero) and (n - 5) * g * (g - 1) >= 0
 
 
-def thm1_verdict(setting: GwSetting) -> Verdict:
-    """Does the absolute/relative comparison hold for this setting?
+def thm1_verdict(n: int, g: int, A_is_zero: bool, kappa_trivial: bool) -> Verdict:
+    """Does the absolute/relative comparison hold in dimension n and genus g?
 
     guaranteed where :func:`lemma_applies`; otherwise guaranteed for
     primary insertions when kappa is trivial, A != 0, and g = 2 or n != 4;
     otherwise not guaranteed, pointing at the counter-example family for
     the failing regime.
     """
-    n, g = setting.n, setting.g
-    if lemma_applies(n, g, setting.A_is_zero):
+    _check_setting(n, g)
+    if lemma_applies(n, g, A_is_zero):
         return Verdict(GUARANTEED)
-    if setting.kappa_trivial and not setting.A_is_zero and (g == 2 or n != 4):
+    if kappa_trivial and not A_is_zero and (g == 2 or n != 4):
         return Verdict(GUARANTEED_PRIMARY_ONLY)
-    if setting.A_is_zero:
+    if A_is_zero:
         return Verdict(NOT_GUARANTEED, counter_example=1)
-    if not setting.kappa_trivial:
+    if not kappa_trivial:
         return Verdict(NOT_GUARANTEED, counter_example=2)
     return Verdict(NOT_GUARANTEED, counter_example=3)
 

@@ -233,9 +233,33 @@ def test_invalid_setting_is_a_usage_error(capsys):
         (("dim", "--n", "4", "--g", "-1", "--c1A", "2"), "genus"),
         (("dim", "--n", "0", "--g", "1", "--c1A", "2"), "dimension"),
         (("dim", "--n", "4", "--g", "1", "--k", "-1", "--c1A", "2"), "marked point"),
+        (("dim", "--n", "4", "--g", "1", "--c1A", "2", "--AdotV", "-1"), "A.V"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ") and message in err, argv
+
+
+def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
+    thirteen = ",".join(["12"] + ["0"] * 12)
+    nested = _point_diagram(tmp_path, "1", "1", insertion="(" * 300 + "1" + ")" * 300)
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv in (
+        ("psi", "--g", "7", "--exponents", "18"),
+        ("psi", "--g", "1", "--exponents", thirteen),
+        ("hodge", "--g", "4", "--n", "1", "--psi", "9", "--lambda", "0,0,0,0"),
+        ("graphs", "--example", "3", "--delta", "13"),
+        ("verify", "--example", "3", "--delta", "13"),
+        ("hodge", "--g", "1", "--n", "13", "--psi", thirteen, "--lambda", "1"),
+        ("chern", "--space", "P7"),
+        ("gw10", "--X", "P7"),
+        ("verify", "--example", "1", "--n", "7"),
+        ("localize", "--config", str(deep)),
+        ("localize", "--config", nested),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), (argv[:2], code, err[:200])
+    assert "locus 'pt': bad insertion expression: expression nested too deeply" in err
 
 
 def test_usage_errors(capsys):

@@ -12,7 +12,6 @@ from gwverify.sumformula import (
     NOT_GUARANTEED,
     BipartiteGraph,
     GraphVertex,
-    GwSetting,
     assemble_example,
     enumerate_graphs,
     example_graphs,
@@ -26,37 +25,29 @@ from gwverify.sumformula import (
 )
 
 
-def setting(n, g, k=0, AdotV=0, c1A=0, A_zero=False, kappa_trivial=True):
-    return GwSetting(
-        n=n, g=g, k=k, AdotV=AdotV, c1A=c1A, A_is_zero=A_zero, kappa_trivial=kappa_trivial
-    )
-
-
 # -- dimensions -----------------------------------------------------------------
 
 def test_vir_dim_absolute():
     # the projective-line genus-2 setting: dimension 12 over the reals
-    s = setting(n=1, g=2, k=2, c1A=2)
-    assert vir_dim(s) == 12
+    assert vir_dim(n=1, g=2, k=2, c1A=2) == 12
     # genus-1 degree-0 with one point
-    assert vir_dim(setting(n=7, g=1, k=1)) == 2
+    assert vir_dim(n=7, g=1, k=1, c1A=0) == 2
 
 
 def test_vir_dim_relative_all_ones():
-    s = setting(n=4, g=3, k=1, AdotV=6, c1A=5)
-    assert vir_dim(s, s=[1] * 6) == vir_dim(s)
+    assert vir_dim(4, 3, 1, 5, s=[1] * 6, AdotV=6) == vir_dim(4, 3, 1, 5, AdotV=6)
     with pytest.raises(ContactMismatch):
-        vir_dim(s, s=[2, 1])
+        vir_dim(4, 3, 1, 5, s=[2, 1], AdotV=6)
     with pytest.raises(ContactMismatch, match=r"^contact orders must be positive, got \(3, 0\)$"):
-        vir_dim(setting(n=4, g=3, k=1, AdotV=3, c1A=5), s=(3, 0))
+        vir_dim(4, 3, 1, 5, s=(3, 0), AdotV=3)
 
 
 def test_vir_dim_all_ones_property():
     for n in range(1, 6):
         for g in range(4):
             for AdotV in range(5):
-                s = setting(n=n, g=g, k=2, AdotV=AdotV, c1A=3)
-                assert vir_dim(s, s=[1] * AdotV if AdotV else []) == vir_dim(s)
+                ones = vir_dim(n, g, 2, 3, s=[1] * AdotV if AdotV else [], AdotV=AdotV)
+                assert ones == vir_dim(n, g, 2, 3, AdotV=AdotV)
 
 
 # -- hollowness and stability -----------------------------------------------------
@@ -81,12 +72,12 @@ def test_stability_sufficient():
 # -- verdicts ----------------------------------------------------------------------
 
 def test_thm1_verdict_spec_examples():
-    assert thm1_verdict(setting(n=5, g=3)).status == GUARANTEED
-    v = thm1_verdict(setting(n=4, g=3, kappa_trivial=True))
+    assert thm1_verdict(5, 3, A_is_zero=False, kappa_trivial=True).status == GUARANTEED
+    v = thm1_verdict(4, 3, A_is_zero=False, kappa_trivial=True)
     assert v.status == NOT_GUARANTEED and v.counter_example == 3
-    v = thm1_verdict(setting(n=1, g=2, kappa_trivial=False))
+    v = thm1_verdict(1, 2, A_is_zero=False, kappa_trivial=False)
     assert v.status == NOT_GUARANTEED and v.counter_example == 2
-    v = thm1_verdict(setting(n=3, g=1, A_zero=True))
+    v = thm1_verdict(3, 1, A_is_zero=True, kappa_trivial=True)
     assert v.status == NOT_GUARANTEED and v.counter_example == 1
 
 
@@ -95,8 +86,7 @@ def test_thm1_verdict_grid():
         for g in range(5):
             for kappa in (True, False):
                 for a_zero in (True, False):
-                    s = setting(n=n, g=g, A_zero=a_zero, kappa_trivial=kappa)
-                    v = thm1_verdict(s)
+                    v = thm1_verdict(n, g, a_zero, kappa)
                     in_18 = (not (g == 1 and a_zero)) and (n - 5) * g * (g - 1) >= 0
                     assert (v.status == GUARANTEED) == in_18
                     if v.status == GUARANTEED_PRIMARY_ONLY:
@@ -114,9 +104,9 @@ def test_thm1_verdict_grid():
 def test_thm1_monotone_in_n():
     # raising n from 4 to 5+ never demotes a trivial-kappa nonzero-A setting
     for g in range(5):
-        v4 = thm1_verdict(setting(n=4, g=g))
+        v4 = thm1_verdict(4, g, A_is_zero=False, kappa_trivial=True)
         for n in (5, 6):
-            vn = thm1_verdict(setting(n=n, g=g))
+            vn = thm1_verdict(n, g, A_is_zero=False, kappa_trivial=True)
             if v4.status == GUARANTEED:
                 assert vn.status == GUARANTEED
 
@@ -314,7 +304,7 @@ def test_vertex_rule_and_verdict_disagree_in_one_cell():
             for kappa in (True, False):
                 vertex = GraphVertex(g, 1, 0)
                 admitted = sumformula.vertex_contributes(vertex, (1,), n, kappa, g)
-                verdict = thm1_verdict(setting(n=n, g=g, kappa_trivial=kappa))
+                verdict = thm1_verdict(n, g, A_is_zero=False, kappa_trivial=kappa)
                 if admitted != (verdict.status == NOT_GUARANTEED):
                     disagree.append((n, g, kappa, verdict.status))
     assert disagree == [(4, 2, True, GUARANTEED_PRIMARY_ONLY)]
