@@ -10,6 +10,7 @@ Grammar (whitespace-insensitive):
     ident   := 'a1' | 'a2' | gen
     gen     := NAME '[' INT (',' INT)? ']'
 
+An exponent above ``MAX_EXPONENT`` (64) raises :class:`ParseError`.
 Rationals are spelled as divisions of integers (for instance ``5/165888``);
 division requires a scalar (degree-0, invertible) right-hand side.  Weight
 scalars are homogeneous in ``a1, a2``: adding scalars of different degrees,
@@ -33,6 +34,9 @@ _TOKEN = re.compile(
 )
 
 EMPTY_BASE = BaseSpace(())
+# the largest exponent after '^'; the shipped diagrams use at most 4, and a
+# larger one only lets one expression stall the parser
+MAX_EXPONENT = 64
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -125,8 +129,13 @@ class _Parser:
             return -self.signed()
         out = self.atom()
         if self.peek()[1] == "^":
-            self.next()
-            out = out ** self.integer("integer exponent")
+            pos = self.next()[2]
+            k = self.integer("integer exponent")
+            if k > MAX_EXPONENT:
+                raise ParseError(
+                    f"exponent {k} at position {pos} is above {MAX_EXPONENT} in {self.text!r}"
+                )
+            out = out ** k
         return out
 
     def atom(self) -> TautClass:

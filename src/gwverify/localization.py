@@ -7,7 +7,18 @@ class mini-grammar.  A locus contribution is
 
     multiplicity * integral(insertion * obstruction / deformation)
 
-and a problem total is the sum over non-vanishing loci, times a declared
+evaluated as one top-degree pairing with no inverse class.  Write the
+deformation D = a0 - N, with a0 its scalar part and N nilpotent, and let K
+be the base dimension minus the lowest degree of insertion * obstruction.
+Then 1/D = sum_k N^k / a0^(k+1), and N^k with k > K pairs to 0, so
+
+    integral(I * O / D) = tc_integrate(I * O, sum_{k<=K} N^k a0^(K-k)) / a0^(K+1)
+
+The series is built by Horner in N; it keeps D's coefficients, which are
+polynomials in every shipped diagram, so its products take no gcd, and the
+one division by a0^(K+1) is the only reduction.
+
+A problem total is the sum over non-vanishing loci, times a declared
 symmetry multiplier, plus the declared weight-swapped copy when present.
 Totals must be weight-independent rationals.
 
@@ -32,7 +43,6 @@ from .errors import (
     ExpectationMismatch,
     Inhomogeneous,
     NonConstantSum,
-    NonInvertible,
     NonInvertibleDeformation,
     ParseError,
     SchemaError,
@@ -46,9 +56,8 @@ from .ring import (
     RubberFactor,
     TautClass,
     tc_integrate,
-    tc_invert,
 )
-from .scalars import ES_ZERO, EquivariantScalar, rat_from_str
+from .scalars import ES_ONE, ES_ZERO, EquivariantScalar, rat_from_str
 
 BUILTIN_ALIASES = {
     "fig7": "fig7",
@@ -90,12 +99,20 @@ class LocalizationProblem:
 
 
 def _term_contribution(term: LocusTerm) -> EquivariantScalar:
-    try:
-        inv = tc_invert(term.deformation)
-    except NonInvertible as exc:
-        raise NonInvertibleDeformation(str(exc)) from exc
-    integrand = term.insertion * term.obstruction * inv
-    return tc_integrate(integrand).scale(term.multiplicity)
+    a0 = term.deformation.scalar_part()
+    if a0.is_zero():
+        raise NonInvertibleDeformation("class has no invertible degree-0 part")
+    base = term.base
+    numerator = term.insertion * term.obstruction
+    # N^k pairs only with the numerator's terms of degree at most dim - k
+    top = base.dim - min(numerator.degree_parts(), default=base.dim)
+    nilpotent = TautClass.scalar(base, a0) - term.deformation
+    series, a0_power = TautClass.one(base), ES_ONE  # by Horner in N
+    for _ in range(top):
+        a0_power = a0_power * a0
+        series = series * nilpotent + TautClass.scalar(base, a0_power)
+    paired = tc_integrate(numerator, series) / (a0_power * a0)
+    return paired.scale(term.multiplicity)
 
 
 # contributions cached per spec object (specs compare by identity); an

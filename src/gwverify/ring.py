@@ -13,6 +13,7 @@ value, and degrees only grow under multiplication.
 Integration is factor-wise: Deligne-Mumford factors evaluate through the
 mixed psi/lambda oracle, rubber factors through the rubber table, and a
 projective-line factor contributes the coefficient of x.
+``tc_integrate(a, b)`` pairs a product without forming its lower degrees.
 :func:`mumford_product_check` reduces a product of two :func:`hodge_twist`
 factors with the lambda relations, so it checks the twist the diagrams use.
 """
@@ -143,9 +144,9 @@ class BaseSpace:
 
     @cached_property
     def products(self) -> dict[tuple[Mono, Mono], Optional[Mono]]:
-        """Monomial products by pair, filled by :meth:`TautClass.__mul__` on
-        first use: the sum of the two exponent tuples, or None where the
-        ring truncates it."""
+        """Monomial products by pair, filled by :meth:`TautClass.__mul__` and
+        :func:`tc_integrate` on first use: the sum of the two exponent
+        tuples, or None where the ring truncates it."""
         return {}
 
     def __str__(self) -> str:
@@ -246,16 +247,9 @@ class TautClass:
     def __mul__(self, other: "TautClass") -> "TautClass":
         self._require_same_base(other)
         pairs: dict[Mono, list[tuple[EquivariantScalar, EquivariantScalar]]] = {}
-        products = self.base.products
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                try:
-                    m = products[m1, m2]
-                except KeyError:
-                    m = tuple(
-                        tuple(a + b for a, b in zip(e1, e2)) for e1, e2 in zip(m1, m2)
-                    )
-                    m = products[m1, m2] = m if _mono_ok(self.base, m) else None
+                m = _product(self.base, m1, m2)
                 if m is not None:
                     pairs.setdefault(m, []).append((c1, c2))
         res = TautClass(self.base)
@@ -286,6 +280,17 @@ class TautClass:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+def _product(base: BaseSpace, m1: Mono, m2: Mono) -> Optional[Mono]:
+    """The product of two monomials, or None where the ring truncates it,
+    read from and filled into the base's product table."""
+    try:
+        return base.products[m1, m2]
+    except KeyError:
+        m = tuple(tuple(a + b for a, b in zip(e1, e2)) for e1, e2 in zip(m1, m2))
+        m = base.products[m1, m2] = m if _mono_ok(base, m) else None
+        return m
 
 
 def _mono_ok(base: BaseSpace, m: Mono) -> bool:
@@ -333,19 +338,38 @@ def tc_invert(a: TautClass) -> TautClass:
     return out
 
 
-def tc_integrate(a: TautClass) -> EquivariantScalar:
-    """Pair the top-degree part against the base, factor by factor."""
+def tc_integrate(a: TautClass, b: Optional[TautClass] = None) -> EquivariantScalar:
+    """Pair the top-degree part of ``a``, or of ``a * b``, against the base,
+    factor by factor.
+
+    With ``b`` given, only the products of ``a * b`` that land in top
+    degree are formed, each coefficient by one :meth:`EquivariantScalar.dot`
+    as ``*`` forms it, so the value is ``tc_integrate(a * b)``.
+    """
+    base, dim = a.base, a.base.dim
+    if b is None:
+        top = {m: c for m, c in a.terms.items() if _mono_degree(base, m) == dim}
+    else:
+        a._require_same_base(b)
+        by_degree: dict[int, list[tuple[Mono, EquivariantScalar]]] = {}
+        for m2, c2 in b.terms.items():
+            by_degree.setdefault(_mono_degree(base, m2), []).append((m2, c2))
+        pairs: dict[Mono, list[tuple[EquivariantScalar, EquivariantScalar]]] = {}
+        for m1, c1 in a.terms.items():
+            for m2, c2 in by_degree.get(dim - _mono_degree(base, m1), ()):
+                m = _product(base, m1, m2)
+                if m is not None:
+                    pairs.setdefault(m, []).append((c1, c2))
+        top = {m: EquivariantScalar.dot(ps) for m, ps in pairs.items()}
     total = ES_ZERO
-    for m in sorted(a.terms, key=lambda m: m):
-        if _mono_degree(a.base, m) != a.base.dim:
-            continue
+    for m in sorted(m for m, c in top.items() if not c.is_zero()):
         val = Fraction(1)
-        for f, e in zip(a.base.factors, m):
+        for f, e in zip(base.factors, m):
             val *= f.integral(e)
             if val == 0:
                 break
         if val != 0:
-            total = total + a.terms[m].scale(val)
+            total = total + top[m].scale(val)
     return total
 
 
@@ -362,17 +386,14 @@ def hodge_twist(
     f = base.factors[factor]
     if not isinstance(f, (DMFactor, RubberFactor)):
         raise BaseMismatch(f"factor {factor} of {base} carries no Hodge bundle")
-    g = f.g
+    lams = [TautClass.generator(base, factor, "lam", i) for i in range(1, f.g + 1)]
     out = TautClass.one(base)
     for w in weights:
         if isinstance(w, EquivariantScalar):
             w = TautClass.scalar(base, w)
-        term = TautClass(base)
-        for i in range(g + 1):
-            piece = (w ** (g - i)).scale(Fraction(-1) ** i)
-            if i > 0:
-                piece = piece * TautClass.generator(base, factor, "lam", i)
-            term = term + piece
+        term = TautClass.one(base)  # by Horner in w
+        for i, lam in enumerate(lams, start=1):
+            term = term * w + (-lam if i % 2 else lam)
         out = out * term
     return out
 

@@ -494,15 +494,18 @@ class EquivariantScalar:
 
         The raw products ``a.num * b.num / (a.den * b.den)`` are grouped by
         raw denominator; each group's numerators are added unreduced, and
-        only the group's sum is brought to canonical form.  Products of
-        mixed degree are added one at a time instead, so that they raise,
-        or cancel, exactly as that sum does.
+        only the group's sum is brought to canonical form.  A denominator
+        of 1 costs nothing: it is not multiplied, and the group over it is
+        already canonical.  Products of mixed degree are added one at a
+        time instead, so that they raise, or cancel, exactly as that sum
+        does.
         """
         groups: dict[WeightPoly, list[WeightPoly]] = {}
         degrees = set()
         for a, b in pairs:
             if a.num.row and b.num.row:
-                num, den = a.num * b.num, a.den * b.den
+                num = a.num * b.num
+                den = b.den if not a.den.d else a.den if not b.den.d else a.den * b.den
                 groups.setdefault(den, []).append(num)
                 degrees.add(num.d - den.d)
         total = ES_ZERO
@@ -512,7 +515,12 @@ class EquivariantScalar:
             return total
         for den, nums in groups.items():
             num = nums[0] if len(nums) == 1 else _sum_forms(nums[0].d, nums)
-            total = total + EquivariantScalar(num, den)
+            if den.d:
+                total = total + EquivariantScalar(num, den)
+            elif num.row:
+                res = EquivariantScalar.__new__(EquivariantScalar)
+                res.num, res.den = num, _ONE_POLY
+                total = total + res
         return total
 
     def __truediv__(self, other: "EquivariantScalar") -> "EquivariantScalar":

@@ -242,6 +242,8 @@ def test_invalid_setting_is_a_usage_error(capsys):
 def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
     thirteen = ",".join(["12"] + ["0"] * 12)
     nested = _point_diagram(tmp_path, "1", "1", insertion="(" * 300 + "1" + ")" * 300)
+    (tmp_path / "power").mkdir()
+    power = _point_diagram(tmp_path / "power", "1", "1", insertion="(a1+a2)^100000")
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     for argv in (
@@ -255,6 +257,7 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         ("gw10", "--X", "P7"),
         ("verify", "--example", "1", "--n", "7"),
         ("localize", "--config", str(deep)),
+        ("localize", "--config", power),
         ("localize", "--config", nested),
     ):
         code, out, err = run(capsys, *argv)

@@ -15,6 +15,8 @@ from gwverify.errors import (
 from gwverify import localization
 from gwverify.exprs import parse_scalar
 from gwverify.localization import (
+    BUILTIN_ALIASES,
+    FixedLocusSpec,
     builtin_problem,
     load_problem,
     locus_contribution,
@@ -23,7 +25,8 @@ from gwverify.localization import (
     problem_total,
     resolve_problem,
 )
-from gwverify.scalars import es_eval
+from gwverify.ring import tc_integrate, tc_invert
+from gwverify.scalars import ES_ZERO, es_eval
 
 
 def locus(problem, label):
@@ -116,6 +119,57 @@ def test_p4_relative_halfsum_matches_paper():
         "-1/2903040 * (1747*a1^6 + 292*a1^4*a2^2)/(a1^4*(a1^2-a2^2))"
     )
     assert half == printed
+
+
+# -- contributions against the inverse route -------------------------------------
+
+def _inverse_route(term):
+    """The contribution through the inverse class: the full product
+    I * O * D^-1, then its top degree."""
+    integrand = term.insertion * term.obstruction * tc_invert(term.deformation)
+    return tc_integrate(integrand).scale(term.multiplicity)
+
+
+def test_contributions_match_the_inverse_route():
+    checked = 0
+    for stem in sorted(set(BUILTIN_ALIASES.values())):
+        name = next(n for n, s in BUILTIN_ALIASES.items() if s == stem)
+        for spec in builtin_problem(name).loci:
+            if spec.vanishes is not None:
+                continue
+            expected = ES_ZERO
+            for i, term in enumerate(spec.terms):
+                one = FixedLocusSpec(label=f"{spec.label} term {i}", terms=(term,))
+                assert locus_contribution(one) == _inverse_route(term), (name, one.label)
+                expected = expected + _inverse_route(term)
+                checked += 1
+            assert locus_contribution(spec) == expected, (name, spec.label)
+    assert checked == 18  # the terms of the 14 non-vanishing loci
+
+
+def test_contribution_with_denominators_matches_the_inverse_route(tmp_path):
+    # coefficients with denominators other than 1, a rational multiplicity
+    # and a ring-element twist weight
+    payload = {
+        "label": "user",
+        "loci": [
+            {
+                "label": "divided",
+                "base": [{"kind": "dm", "g": 1, "n": 1}, {"kind": "p1"}],
+                "multiplicity": "3/7",
+                "insertion": "a1*psi[0,1]/(a1-a2) + x[1]",
+                "obstruction": "hodgetwist(1; a1 + x[1], a2)",
+                "deformation": "(a1 - psi[0,1])*(a1+a2)/(a1-a2) + x[1]",
+            }
+        ],
+    }
+    path = tmp_path / "user.json"
+    path.write_text(json.dumps(payload))
+    (spec,) = load_problem(path).loci
+    (term,) = spec.terms
+    contribution = locus_contribution(spec)
+    assert contribution == _inverse_route(term)
+    assert contribution == parse_scalar("3/7 * (3*a2^2 - a1^2)/(24*(a1+a2)^2)")
 
 
 # -- weight independence ----------------------------------------------------------
@@ -277,6 +331,16 @@ def test_inhomogeneous_integrand_names_the_locus():
     )
     with pytest.raises(SchemaError, match="locus 'square'"):
         problem_total(problem)
+
+
+def test_exponent_above_the_bound_is_schema_error():
+    def problem(insertion):
+        locus = {"label": "pt", "base": [{"kind": "point"}], "insertion": insertion}
+        return parse_problem({"label": "power", "loci": [locus]}, "test")
+
+    assert problem_total(problem("(a1+a2)^64/(a1+a2)^64")) == 1
+    with pytest.raises(SchemaError, match="locus 'pt': bad insertion expression: exponent 65"):
+        problem("(a1+a2)^65")
 
 
 def test_deformation_must_be_invertible():

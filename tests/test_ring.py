@@ -12,6 +12,7 @@ from gwverify.ring import (
     ProjLineFactor,
     RubberFactor,
     TautClass,
+    _label,
     _mono_ok,
     hodge_twist_by_genus,
     tc_integrate,
@@ -156,6 +157,65 @@ def test_truncation_soundness():
     c = parse_class("psi[0,1]^4", M21)
     assert (c * c).is_zero()
     assert (c * TautClass.generator(M21, 0, "lam", 2)).is_zero()
+
+
+def _random_scalar(rng, degree, polynomial):
+    """A random scalar of the given degree: a polynomial, or else over one
+    or more linear forms."""
+    over = 0 if polynomial else max(1, -degree)
+    out = EquivariantScalar.from_rational(Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4)))
+    for i in range(degree + 2 * over):
+        linear = A1.scale(rng.randint(1, 3)) + A2.scale(rng.randint(-3, 3))
+        out = out / linear if i < over else out * linear
+    return out
+
+
+def _random_class(rng, base, skip=()):
+    """A few monomials of random degree d, each with a scalar of degree
+    s - d for one s, so every coefficient of a product's top degree has one
+    degree.  The scalars are polynomials in half the classes.  The
+    generators named in ``skip`` are left out."""
+    gens = [
+        (TautClass.generator(base, i, name, index), degree)
+        for i, f in enumerate(base.factors)
+        for name, index, degree in f.gens
+        if _label(name, i, index) not in skip
+    ]
+    polynomial = rng.random() < 0.5
+    out, s = TautClass(base), base.dim if polynomial else 0
+    for _ in range(rng.randint(2, 8)):
+        mono, degree = TautClass.one(base), 0
+        for _ in range(rng.randint(0, base.dim)):
+            gen, d = rng.choice(gens)
+            mono, degree = mono * gen, degree + d
+        out = out + mono.scale(_random_scalar(rng, s - degree, polynomial))
+    return out
+
+
+@pytest.mark.parametrize(
+    "factors, skip",
+    [
+        # the table lacks genus-2 monomials such as psi_1^2 psi_2^2 lam_1
+        ((DMFactor(2, 2), ProjLineFactor()), ("psi[0,2]",)),
+        ((DMFactor(1, 1), ProjLineFactor()), ()),
+    ],
+)
+def test_paired_integral_is_the_integral_of_the_product(factors, skip):
+    base = BaseSpace(factors)
+    rng = random.Random(base.dim)
+    nonzero = 0
+    for _ in range(60):
+        a, b = _random_class(rng, base, skip), _random_class(rng, base, skip)
+        paired = tc_integrate(a, b)
+        assert paired == tc_integrate(a * b)
+        nonzero += not paired.is_zero()
+    assert nonzero >= 10
+    # the two degrees add up to the top, but the product exceeds the moduli factor
+    a = parse_class("psi[0,1]^3" if base.dim == 6 else "psi[0,1]", base)
+    b = parse_class("a1*psi[0,2]^3" if base.dim == 6 else "a1*psi[0,1]", base)
+    assert (a * b).is_zero() and tc_integrate(a, b).is_zero()
+    with pytest.raises(BaseMismatch):
+        tc_integrate(a, TautClass.one(M21))
 
 
 def test_product_table_records_sums_and_truncations():

@@ -377,6 +377,41 @@ def test_dot_is_the_sum_of_products():
         EquivariantScalar.dot([(A1, ES_ONE), (ES_ONE, ES_ONE)])
 
 
+def test_dot_over_denominator_one(monkeypatch):
+    from gwverify import scalars
+
+    rng = random.Random(47)
+    gcds = []
+    original = scalars.poly_gcd
+    monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: gcds.append(1) or original(p, q))
+
+    def polynomial(degree):
+        return EquivariantScalar(_random_form(rng, degree))
+
+    for _ in range(40):
+        degree = rng.randint(0, 4)
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            d1 = rng.randint(0, degree)
+            pairs.append((polynomial(d1), polynomial(degree - d1)))
+        expected = ES_ZERO
+        for a, b in pairs:
+            expected = expected + a * b
+        assert _assert_canonical(EquivariantScalar.dot(pairs)) == expected
+        # a sum that cancels is the canonical 0/1
+        a, b = pairs[0]
+        zero = EquivariantScalar.dot([(a, b), (-a, b)])
+        assert _assert_canonical(zero).is_zero() and zero == ES_ZERO
+    assert not gcds  # a denominator of 1 takes no gcd
+    # mixed degrees raise as the sequential sum does
+    pairs = [(A1, A1 + A2), (A2, ES_ONE), (A1, A2)]
+    with pytest.raises(Inhomogeneous) as sequential:
+        A1 * (A1 + A2) + A2 * ES_ONE + A1 * A2
+    with pytest.raises(Inhomogeneous) as grouped:
+        EquivariantScalar.dot(pairs)
+    assert str(grouped.value) == str(sequential.value)
+
+
 def test_ring_product_is_the_termwise_sum():
     from gwverify.ring import BaseSpace, DMFactor, ProjLineFactor, TautClass, _mono_ok
 
