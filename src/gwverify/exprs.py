@@ -10,7 +10,8 @@ Grammar (whitespace-insensitive):
     ident   := 'a1' | 'a2' | gen
     gen     := NAME '[' INT (',' INT)? ']'
 
-An exponent above ``MAX_EXPONENT`` (64) raises :class:`ParseError`.
+An exponent above ``MAX_EXPONENT`` (64) raises :class:`ParseError`, and so
+do nested powers whose exponents multiply past it, as in ``(a1^8)^9``.
 Rationals are spelled as divisions of integers (for instance ``5/165888``);
 division requires a scalar (degree-0, invertible) right-hand side.  Weight
 scalars are homogeneous in ``a1, a2``: adding scalars of different degrees,
@@ -64,6 +65,9 @@ class _Parser:
         self.base = base
         self.toks = _tokenize(text)
         self.i = 0
+        # the largest product of exponents along a chain of nested '^' in
+        # the atom being parsed, which a '^' after the atom multiplies
+        self.power = 1
 
     def peek(self):
         return self.toks[self.i] if self.i < len(self.toks) else ("eof", "", len(self.text))
@@ -127,7 +131,9 @@ class _Parser:
         if self.peek()[1] == "-":
             self.next()
             return -self.signed()
+        outer, self.power = self.power, 1
         out = self.atom()
+        inner = self.power
         if self.peek()[1] == "^":
             pos = self.next()[2]
             k = self.integer("integer exponent")
@@ -135,7 +141,14 @@ class _Parser:
                 raise ParseError(
                     f"exponent {k} at position {pos} is above {MAX_EXPONENT} in {self.text!r}"
                 )
+            inner *= k
+            if inner > MAX_EXPONENT:
+                raise ParseError(
+                    f"nested exponents multiply to {inner} at position {pos}, "
+                    f"above {MAX_EXPONENT} in {self.text!r}"
+                )
             out = out ** k
+        self.power = max(outer, inner)
         return out
 
     def atom(self) -> TautClass:

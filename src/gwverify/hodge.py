@@ -2,7 +2,8 @@
 oracle for the degree-1 rubber integrals.
 
 Evaluation pipeline: dimension gate, then marked-point stripping (string for
-exponent 0, dilaton for exponent 1), then the Mumford relations, then either
+exponent 0, dilaton for exponent 1, by ``psi.string_reduce`` and
+``psi.dilaton_reduce``), then the Mumford relations, then either
 the pure-psi recursion or a table lookup.  A residual monomial that is not in
 the shipped tables raises :class:`UnknownMonomial`; values are never invented.
 
@@ -31,7 +32,7 @@ from .errors import (
     UnknownRubberKey,
     UnstableInput,
 )
-from .psi import PsiKey, check_bounds, psi_intersect
+from .psi import PsiKey, check_bounds, dilaton_reduce, psi_intersect, string_reduce
 from .scalars import rat_from_str
 
 LamTuple = tuple[int, ...]
@@ -244,20 +245,16 @@ def _eval_uncached(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
     n = len(psi)
     if not any(lam):
         return psi_intersect(PsiKey(g, psi))
-    # strip marked points while the reduction stays stable
+    # strip marked points while the reduction stays stable; lambda pulls back
+    # under forgetting a point, so it rides along unchanged
     if 2 * g - 2 + (n - 1) > 0:
-        if psi and psi[-1] == 0:  # string: exponents sorted descending
-            rest = psi[:-1]
-            total = Fraction(0)
-            for j, aj in enumerate(rest):
-                if aj >= 1:
-                    reduced = tuple(
-                        sorted(rest[:j] + (aj - 1,) + rest[j + 1 :], reverse=True)
-                    )
-                    total += _eval(g, reduced, lam)
-            return total
-        if psi and psi[-1] == 1:  # dilaton
-            return (2 * g - 2 + n - 1) * _eval(g, psi[:-1], lam)
+        key = PsiKey(g, psi)
+        if 0 in psi:
+            terms = string_reduce(key)
+            return sum((_eval(g, k.exponents, lam) for k in terms), Fraction(0))
+        if 1 in psi:
+            factor, reduced = dilaton_reduce(key)
+            return factor * _eval(g, reduced.exponents, lam)
     return _lookup("dm_intersections.json", g, n, psi, lam)
 
 

@@ -3,18 +3,20 @@ space of stable curves.
 
 The recursion runs on scaled values M(g; a) = 2^(2g-2+n) 24^g
 prod (2a_i+1)!! <prod tau_{a_i}>_g, seeded with M(0; 0,0,0) = 2 and
-M(1; 1) = 6.  A key with a 0 or 1 exponent is reduced by the string or
-dilaton equation; any other key by one step of the Virasoro/KdV recursion
-(Dijkgraaf-Verlinde-Verlinde form) on its largest exponent.  Against a key's
-scale, a term with one point fewer and a separating product each carry 1/2,
-and the nonseparating term, one genus lower and one point more, 1/48; so the
-coefficients are integers (2 for string, dilaton and the DVV merge sum, 24
-and 1 for the DVV's nonseparating and separating terms), every M is an
-integer, and no step divides.  Only ``psi_intersect`` and ``dvv_expand``
+M(1; 1) = 6.  A key with a 1 exponent is reduced by the dilaton equation;
+any other key by one step of the Virasoro/KdV recursion
+(Dijkgraaf-Verlinde-Verlinde form) at a psi-free point, where the step is
+the string equation (its merge sum alone), or else at its largest exponent.
+Against a key's scale, a term with one point fewer and a separating product
+each carry 1/2, and the nonseparating term, one genus lower and one point
+more, 1/48; so the coefficients are integers (2 for dilaton and the DVV merge
+sum, 24 and 1 for the DVV's nonseparating and separating terms), every M is
+an integer, and no step divides.  Only ``psi_intersect`` and ``dvv_expand``
 build a Fraction.  This is an independent oracle: any correct pure-psi
 recursion is acceptable.  The DVV step holds at every point of every key but
-the two seeds, so ``dvv_expand`` double-checks the keys the recursion reduced
-by string or dilaton.
+the two seeds, so ``dvv_expand`` at the largest exponent double-checks every
+key with a 0 or 1 exponent, and ``string_reduce`` / ``dilaton_reduce`` state
+the two equations on keys for the Hodge oracle and the closure checks.
 """
 
 from __future__ import annotations
@@ -98,28 +100,21 @@ def _norm(g: int, exps: tuple[int, ...]) -> int:
 
 
 def _recurse_uncached(g: int, exps: tuple[int, ...]) -> int:
-    """M(g; a) by one step: the seeds, else dilaton or string when removing
-    a point leaves a stable (g, n - 1), else DVV on the largest exponent."""
+    """M(g; a) by one step: the seeds, else dilaton at an exponent-1 point,
+    else DVV at a psi-free point or, without one, at the largest exponent."""
     if g == 0 and exps == (0, 0, 0):
         return 2
     if g == 1 and exps == (1,):
         return 6  # 2 * 24 * 3!! <tau_1>_1
     n = len(exps)
-    if 2 * g - 3 + n > 0:
-        if 1 in exps:
-            # dilaton: M(g; 1, A) = 6 (2g - 2 + |A|) M(g; A)
-            i = exps.index(1)
-            return 6 * (2 * g - 3 + n) * _norm(g, exps[:i] + exps[i + 1 :])
-        if exps[-1] == 0:
-            # string: M(g; 0, A) = 2 sum_j (2a_j + 1) M(g; A with a_j lowered)
-            rest = exps[:-1]
-            total = 0
-            for i, m, a in _runs(rest):
-                if a:
-                    lowered = rest[:i] + (a - 1,) + rest[i + 1 :]
-                    total += m * (2 * a + 1) * _norm(g, lowered)
-            return 2 * total
-    return _dvv(g, exps, 0)
+    if 1 in exps:
+        # dilaton: M(g; 1, A) = 6 (2g - 2 + |A|) M(g; A); removing the point
+        # leaves (g, n - 1) stable, as only the seed (1; 1) could fail that
+        i = exps.index(1)
+        return 6 * (2 * g - 3 + n) * _norm(g, exps[:i] + exps[i + 1 :])
+    # at a psi-free point DVV is the string equation: its merge sum is
+    # 2 sum_j (2a_j + 1) M(g; A with a_j lowered), its boundary sum empty
+    return _dvv(g, exps, n - 1 if exps[-1] == 0 else 0)
 
 
 def _runs(exps: tuple[int, ...]):
@@ -146,7 +141,10 @@ def _dvv(g: int, exps: tuple[int, ...], point: int) -> int:
     total = 0
     for i, m, aj in _runs(rest):
         if a1 + aj >= 1:
-            merged = tuple(sorted(rest[:i] + (a1 + aj - 1,) + rest[i + 1 :], reverse=True))
+            # i ends aj's run, so only the left neighbour can be out of order
+            merged = rest[:i] + (a1 + aj - 1,) + rest[i + 1 :]
+            if i and merged[i - 1] < merged[i]:
+                merged = tuple(sorted(merged, reverse=True))
             total += m * (2 * aj + 1) * _norm(g, merged)
     total *= 2
     if a1 < 2:
@@ -203,9 +201,10 @@ def dvv_expand(key: PsiKey, point: int = 0) -> Fraction:
     exponents, with the smaller values from the memo (evaluated if missing).
 
     The step holds at every point of every key except the two seeds
-    <tau_0^3>_0 and <tau_1>_1.  The recursion takes it only on the largest
-    exponent of keys it cannot reduce by string or dilaton, so at any other
-    point it is an independent check of the recursion."""
+    <tau_0^3>_0 and <tau_1>_1.  The recursion takes it only on keys it
+    cannot reduce by dilaton, at a psi-free point, or at the largest
+    exponent, so at a point of any other exponent it is an independent
+    check of the recursion."""
     check_bounds(key.genus, len(key.exponents))
     if sum(key.exponents) != key.dim:
         return Fraction(0)

@@ -280,7 +280,8 @@ def criterion_12_property_suites():
             if factor * psi_intersect(reduced) != stored:
                 return False, f"dilaton closure fails at {key}"
             closure_checked += 1
-        # the recursion itself took string or dilaton here; DVV is independent
+        # the recursion took dilaton here, or DVV at a psi-free point (the
+        # string equation); DVV at the largest exponent is independent
         if {0, 1} & set(key.exponents) and 2 * key.genus - 2 + key.n - 1 > 0:
             if dvv_expand(key) != stored:
                 return False, f"DVV closure fails at {key}"

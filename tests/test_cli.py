@@ -244,6 +244,10 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
     nested = _point_diagram(tmp_path, "1", "1", insertion="(" * 300 + "1" + ")" * 300)
     (tmp_path / "power").mkdir()
     power = _point_diagram(tmp_path / "power", "1", "1", insertion="(a1+a2)^100000")
+    (tmp_path / "nested_power").mkdir()
+    nested_power = _point_diagram(
+        tmp_path / "nested_power", "1", "1", insertion="((a1+a2)^64)^64"
+    )
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     for argv in (
@@ -258,10 +262,13 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         ("verify", "--example", "1", "--n", "7"),
         ("localize", "--config", str(deep)),
         ("localize", "--config", power),
+        ("localize", "--config", nested_power),
         ("localize", "--config", nested),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), (argv[:2], code, err[:200])
+        if argv[-1] == nested_power:
+            assert "locus 'pt': bad insertion expression: nested exponents multiply to 4096" in err
     assert "locus 'pt': bad insertion expression: expression nested too deeply" in err
 
 

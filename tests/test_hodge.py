@@ -169,6 +169,41 @@ def test_every_table_entry_rederives_through_the_pipeline():
         assert hodge_intersect(m) == Fraction(e["value"])
 
 
+def _top_degree_keys(max_genus, max_points):
+    """(g, n, descending psi, lambda) of every top-degree monomial."""
+    import itertools
+
+    for g in range(max_genus + 1):
+        for n in range(max_points + 1):
+            if 2 * g - 2 + n <= 0:
+                continue
+            dim = 3 * g - 3 + n
+            for lam in itertools.product(*(range(dim // i + 1) for i in range(1, g + 1))):
+                rest = dim - sum(i * e for i, e in enumerate(lam, start=1))
+                for psi in itertools.combinations_with_replacement(range(rest, -1, -1), n):
+                    if sum(psi) == rest:
+                        yield g, n, psi, lam
+
+
+def test_every_top_degree_key_is_pinned():
+    # sha256 over the value or the error of every top-degree monomial with
+    # g <= 3 and n <= 6, from an empty memo: pins the string/dilaton
+    # stripping, the relations and the table lookup together
+    import hashlib
+
+    hodge._HODGE_MEMO.clear()
+    lines = []
+    for g, n, psi, lam in _top_degree_keys(3, 6):
+        try:
+            outcome = str(hodge_intersect(HodgeMonomial(g, n, psi, lam)))
+        except UnknownMonomial as exc:
+            outcome = f"UnknownMonomial: {exc}"
+        lines.append(f"{g} {n} {list(psi)} {list(lam)} {outcome}\n")
+    assert len(lines) == 2159
+    digest = hashlib.sha256("".join(lines).encode()).hexdigest()
+    assert digest == "37f320f93ec41f18894a077a6cd3a0455c6b7abe223d939adba9b39d68321f13"
+
+
 # -- mumford products ----------------------------------------------------------
 
 def test_mumford_products():

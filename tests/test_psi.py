@@ -196,7 +196,8 @@ def test_string_dilaton_closure_on_memoized_keys():
         if 1 in key.exponents and 2 * key.genus - 2 + key.n - 1 > 0:
             factor, k = dilaton_reduce(key)
             assert factor * psi_intersect(k) == stored
-        # the recursion itself took string or dilaton here; DVV is independent
+        # the recursion took dilaton here, or DVV at a psi-free point (the
+        # string equation); DVV at the largest exponent is independent
         if {0, 1} & set(key.exponents) and 2 * key.genus - 2 + key.n - 1 > 0:
             assert dvv_expand(key) == stored
             dvv_checked += 1
@@ -275,8 +276,9 @@ def test_heaviest_cells_cold(g, exps):
     key = PsiKey(g, exps)
     value = psi_intersect(key)
     assert value > 0
-    # the DVV step holds on every point; the recursion took it only on the
-    # largest exponent (or string on the zeros), so the others are checks
+    # the DVV step holds on every point; the recursion took it at a psi-free
+    # point, or at the largest exponent of a key without one, so the points
+    # of every other exponent are checks
     for point, a in enumerate(key.exponents):
         if point == 0 or a != key.exponents[point - 1]:
             assert dvv_expand(key, point) == value, point

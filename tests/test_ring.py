@@ -294,6 +294,16 @@ def test_parse_errors():
         parse_class("x[0]", M21)
 
 
+def test_nested_powers_are_bounded_by_their_product():
+    assert parse_scalar("(a1^2)^2") == parse_scalar("a1^4")
+    assert parse_scalar("((a1+a2)^8)^8") == parse_scalar("(a1+a2)^64")
+    # a 4,096-degree power would stall the parser instead of failing
+    with pytest.raises(ParseError, match="nested exponents multiply to 4096 at position 12"):
+        parse_scalar("((a1+a2)^64)^64")
+    with pytest.raises(ParseError, match="multiply to 72"):
+        parse_scalar("-(-a1^8)^9")
+
+
 EVERY_KIND = BaseSpace((DMFactor(2, 2), ProjLineFactor(), PointFactor(), RubberFactor(1)))
 
 
