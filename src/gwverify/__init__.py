@@ -62,8 +62,6 @@ from .sumformula import (
     Verdict,
     assemble_example,
     enumerate_graphs,
-    hollow_sufficient,
-    stability_sufficient,
     thm1_verdict,
     vanishing_filter,
     vir_dim,
@@ -101,7 +99,6 @@ __all__ = [
     "gw_genus1_deg0",
     "hodge_intersect",
     "hodge_twist",
-    "hollow_sufficient",
     "hypersurface",
     "load_problem",
     "locus_contribution",
@@ -116,7 +113,6 @@ __all__ = [
     "rat_to_str",
     "rubber_intersect",
     "run_selftest",
-    "stability_sufficient",
     "string_reduce",
     "tc_integrate",
     "tc_invert",

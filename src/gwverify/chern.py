@@ -23,14 +23,6 @@ Coeff = Union[Fraction, DeltaPoly]
 MAX_DIM = 6  # ambient projective spaces are P1..P6
 
 
-def _ser_mul(a: list, b: list, n: int) -> list:
-    out = [Fraction(0)] * (n + 1)
-    for i, ai in enumerate(a[: n + 1]):
-        for j, bj in enumerate(b[: n + 1 - i]):
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 @dataclass(frozen=True)
 class ChernData:
     """Total Chern class of a space with monogenerated cohomology.
@@ -75,13 +67,15 @@ def hypersurface(n: int, delta) -> ChernData:
     _check_dim(n)
     if isinstance(delta, int):
         delta = Fraction(delta)
-    dim = n - 1
-    amb = [Fraction(comb(n + 1, i)) for i in range(dim + 1)]
-    inv = [(-delta) ** k for k in range(dim + 1)]  # 1/(1+delta*x)
-    c = tuple(_ser_mul(amb, inv, dim))
-    name = f"V{delta}(P{n})"
+    # c(V) = c(P^n) / (1 + delta x), one degree at a time:
+    # c_i = C(n+1, i) - delta c_{i-1}, starting from c_{-1} = 0
+    c, prev = [], Fraction(0)
+    for i in range(n):
+        prev = comb(n + 1, i) - delta * prev
+        c.append(prev)
     return ChernData(
-        name=name, dim=dim, total_chern=c, degree_map=delta, divisor_multiple=delta
+        name=f"V{delta}(P{n})", dim=n - 1, total_chern=tuple(c), degree_map=delta,
+        divisor_multiple=delta,
     )
 
 
@@ -90,9 +84,9 @@ def euler_char(g: ChernData) -> Coeff:
     return g.c(g.dim) * g.degree_map
 
 
-def log_tangent_pairing(X: ChernData, V: ChernData, k: int, alpha_mult=1) -> Coeff:
-    """<alpha c_k of the log-tangent bundle, X> with alpha a multiple of the
-    complementary power of x.
+def log_tangent_pairing(X: ChernData, V: ChernData, k: int) -> Coeff:
+    """<alpha c_k of the log-tangent bundle, X> with alpha the complementary
+    power of x.
 
     Computed along both routes (the alternating expansion of
     c(X)(1 + PD(V))^{-1} restricted term by term, and the difference of the
@@ -101,13 +95,12 @@ def log_tangent_pairing(X: ChernData, V: ChernData, k: int, alpha_mult=1) -> Coe
     if V.divisor_multiple is None:
         raise InclusionUndeclared(f"{V.name} carries no divisor class in {X.name}")
     delta = V.divisor_multiple
-    a = alpha_mult
     # route 1: <alpha c_k(X), X> - <alpha|_V c_{k-1}(V), V>
-    direct = a * X.c(k) * X.degree_map - a * V.c(k - 1) * V.degree_map
+    direct = X.c(k) * X.degree_map - V.c(k - 1) * V.degree_map
     # route 2: alternating expansion, each correction term paired on V
-    expansion = a * X.c(k) * X.degree_map
+    expansion = X.c(k) * X.degree_map
     for i in range(k):
-        term = a * X.c(k - 1 - i) * (delta**i) * V.degree_map
+        term = X.c(k - 1 - i) * (delta**i) * V.degree_map
         expansion = expansion - (Fraction(-1) ** i) * term
     if direct != expansion:
         raise InternalMismatch(
@@ -147,13 +140,13 @@ def genus1_consistency_j(X: ChernData, V: ChernData) -> tuple:
     return absolute, relative + bundle_term
 
 
-def genus1_consistency_alpha(X: ChernData, V: ChernData, a=1) -> tuple:
-    """Both sides of the degeneration consistency for a two-form insertion;
-    the bundle side uses <pullback(alpha|_V) c_{n-1} of the bundle> =
-    2 <alpha|_V c_{n-2}(V), V>."""
-    absolute = gw_genus1_deg0(X, None, ("alpha", a))
-    relative = gw_genus1_deg0(X, V, ("alpha", a))
-    pairing_V = a * V.c(V.dim - 1) * V.degree_map
+def genus1_consistency_alpha(X: ChernData, V: ChernData) -> tuple:
+    """Both sides of the degeneration consistency for the two-form insertion
+    alpha = x; the bundle side uses <pullback(alpha|_V) c_{n-1} of the
+    bundle> = 2 <alpha|_V c_{n-2}(V), V>."""
+    absolute = gw_genus1_deg0(X, None, ("alpha", 1))
+    relative = gw_genus1_deg0(X, V, ("alpha", 1))
+    pairing_V = V.c(V.dim - 1) * V.degree_map
     bundle_term = -Fraction(1, 24) * (2 * pairing_V - pairing_V)
     return absolute, relative + bundle_term
 

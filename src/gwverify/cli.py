@@ -183,8 +183,12 @@ def cmd_dim(args) -> list[str]:
 
 
 def cmd_verify(args) -> VerificationReport:
-    delta = "symbolic" if args.symbolic or args.delta is None else args.delta
-    return assemble_example(args.example, delta, n=args.n)
+    if args.symbolic and args.delta is not None:
+        raise ValueError("--symbolic and --delta exclude each other")
+    if args.n is not None and args.example != 1:
+        raise ValueError(f"--n applies to example 1 only, not example {args.example}")
+    delta = "symbolic" if args.delta is None else args.delta
+    return assemble_example(args.example, delta, n=4 if args.n is None else args.n)
 
 
 def cmd_selftest(args) -> VerificationReport:
@@ -259,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--example", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--delta", type=degree, default=None)
     p.add_argument("--symbolic", action="store_true", help="polynomial identity in the degree")
-    p.add_argument("--n", type=int, default=4, help="ambient dimension (example 1)")
+    p.add_argument("--n", type=int, default=None, help="ambient dimension (example 1)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 

@@ -37,6 +37,8 @@ from .scalars import rat_from_str
 
 LamTuple = tuple[int, ...]
 
+MAX_GENUS = 3  # the lambda relations and both tables stop here; every genus cap reads it
+
 
 @dataclass(frozen=True)
 class HodgeMonomial:
@@ -75,8 +77,7 @@ class RubberKey:
     n: int = 0  # extra marked points; only used in genus 0
 
     def __post_init__(self):
-        if self.g not in (0, 1, 2, 3):
-            raise GenusOutOfRange(f"rubber genus {self.g} not supported")
+        check_rubber(self.g, self.n)
         if len(self.lam) != self.g:
             raise ValueError("lambda exponent vector must have length g")
 
@@ -99,8 +100,8 @@ def rewrite_lambda(g: int, lam: LamTuple) -> tuple[int, LamTuple] | None:
     Returns (coeff, tuple), the coefficient a power of 2, or None when the
     monomial rewrites to zero.  Genus 0 monomials are already normal.
     """
-    if g > 3 or g < 0:
-        raise GenusOutOfRange(f"relations implemented for genus <= 3, got {g}")
+    if g > MAX_GENUS or g < 0:
+        raise GenusOutOfRange(f"relations implemented for genus <= {MAX_GENUS}, got {g}")
     coeff = 1
     lam = tuple(lam)
     while True:
@@ -220,12 +221,31 @@ def reset_tables() -> None:
 _HODGE_MEMO: dict[tuple, Fraction] = {}
 
 
+def check_dm(g: int, n: int) -> None:
+    """Reject a DM(g, n) that :func:`hodge_intersect` cannot integrate over:
+    a negative entry, g above MAX_GENUS, or a (g, n) that check_bounds rejects."""
+    if g < 0 or n < 0:
+        raise ValueError(f"(g, n) = ({g}, {n}) has a negative entry")
+    if g > MAX_GENUS:
+        raise GenusOutOfRange(f"hodge oracle covers genus <= {MAX_GENUS}, got {g}")
+    check_bounds(g, n)
+
+
+def check_rubber(g: int, n: int) -> None:
+    """Reject a rubber space that :func:`rubber_intersect` cannot integrate
+    over: g outside 0..MAX_GENUS, a negative n, or g = 0 with n < 3."""
+    if not 0 <= g <= MAX_GENUS:
+        raise GenusOutOfRange(f"rubber genus {g} not supported")
+    if n < 0:
+        raise ValueError(f"rubber point count must be nonnegative, got {n}")
+    if g == 0 and n < 3:
+        raise UnknownRubberKey(f"genus-0 rubber needs n >= 3, got n={n}")
+
+
 def hodge_intersect(m: HodgeMonomial) -> Fraction:
-    """Exact value of a mixed psi/lambda monomial against DM(g, n), g <= 3;
-    n has the psi recursion's bound."""
-    if m.g > 3:
-        raise GenusOutOfRange(f"hodge oracle covers genus <= 3, got {m.g}")
-    check_bounds(m.g, m.n)
+    """Exact value of a mixed psi/lambda monomial against DM(g, n),
+    g <= MAX_GENUS; n has the psi recursion's bound."""
+    check_dm(m.g, m.n)
     if m.degree != m.dim:
         return Fraction(0)
     return _eval(m.g, tuple(sorted(m.psi, reverse=True)), m.lam)
@@ -260,8 +280,6 @@ def _eval_uncached(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
 
 def rubber_intersect(key: RubberKey) -> Fraction:
     """Table-backed rubber integral; unknown top-degree keys are an error."""
-    if key.g == 0 and key.n < 3:
-        raise UnknownRubberKey(f"genus-0 rubber needs n >= 3, got n={key.n}")
     if key.degree != key.dim:
         return Fraction(0)
     if key.g >= 1 and key.psi >= key.g:

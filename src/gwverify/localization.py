@@ -206,7 +206,7 @@ def _parse_factor(raw: dict, where: str):
             return PointFactor()
         if kind == "rubber":
             return RubberFactor(int(raw["g"]), int(raw.get("n", 0)))
-    except (KeyError, ValueError) as exc:
+    except (LookupError, TypeError, ValueError) as exc:  # or a factor the oracles reject
         raise SchemaError(f"{where}: bad factor {raw!r} ({exc})") from exc
     raise SchemaError(f"{where}: unknown factor kind {kind!r}")
 

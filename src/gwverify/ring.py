@@ -12,7 +12,8 @@ value, and degrees only grow under multiplication.
 
 Integration is factor-wise: Deligne-Mumford factors evaluate through the
 mixed psi/lambda oracle, rubber factors through the rubber table, and a
-projective-line factor contributes the coefficient of x.
+projective-line factor contributes the coefficient of x.  A DM or rubber
+factor that its oracle cannot integrate over is rejected when it is built.
 ``tc_integrate(a, b)`` pairs a product without forming its lower degrees.
 :func:`mumford_product_check` reduces a product of two :func:`hodge_twist`
 factors with the lambda relations, so it checks the twist the diagrams use.
@@ -28,8 +29,11 @@ from typing import Optional, Sequence
 
 from .errors import BaseMismatch, GenusOutOfRange, NonInvertible
 from .hodge import (
+    MAX_GENUS,
     HodgeMonomial,
     RubberKey,
+    check_dm,
+    check_rubber,
     hodge_intersect,
     rewrite_lambda,
     rubber_intersect,
@@ -64,6 +68,9 @@ def _lam_gens(g: int) -> tuple[Gen, ...]:
 class DMFactor(Factor):
     g: int
     n: int
+
+    def __post_init__(self):
+        check_dm(self.g, self.n)
 
     @property
     def dim(self) -> int:
@@ -115,6 +122,9 @@ class RubberFactor(Factor):
 
     g: int
     n: int = 0
+
+    def __post_init__(self):
+        check_rubber(self.g, self.n)
 
     @property
     def dim(self) -> int:
@@ -405,8 +415,8 @@ def mumford_product_check(g: int, w: EquivariantScalar) -> bool:
     The factor is DM(g, max(0, 3 - g)), of dimension at least 2g, so the
     ring truncates no term of the product.
     """
-    if g not in (1, 2, 3):
-        raise GenusOutOfRange(f"mumford product check needs genus 1..3, got {g}")
+    if not 1 <= g <= MAX_GENUS:
+        raise GenusOutOfRange(f"mumford product check needs genus 1..{MAX_GENUS}, got {g}")
     f = DMFactor(g, max(0, 3 - g))
     base = BaseSpace((f,))
     reduced: dict[tuple[int, ...], EquivariantScalar] = {}

@@ -2,9 +2,8 @@
 
 Covers the decorated bipartite graphs of a symplectic-sum decomposition,
 the vanishing filter that reduces them to the contributing ones, expected
-dimensions, the hollowness/stability sufficient criteria, the guarantee
-verdict with counter-example pointers, and the three worked examples
-assembled from the other modules.
+dimensions, the guarantee verdict with counter-example pointers, and the
+three worked examples assembled from the other modules.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .chern import (
     degree_correction_genus3,
@@ -96,7 +95,7 @@ class BipartiteGraph:
 
 
 # ---------------------------------------------------------------------------
-# dimensions, hollowness, stability, verdicts
+# dimensions and verdicts
 # ---------------------------------------------------------------------------
 
 def _check_setting(n: int, g: int, k: int = 0, AdotV: int = 0) -> None:
@@ -124,27 +123,6 @@ def vir_dim(
     if sum(s) != AdotV:
         raise ContactMismatch(f"contact vector {s} does not sum to {AdotV}")
     return 2 * (base + len(s) - sum(s))
-
-
-def hollow_sufficient(n: int, candidates: Iterable[tuple[int, int, int]]) -> bool:
-    """Sufficient hollowness criterion: every candidate class satisfies
-    A'.V > <c1(X), A'> + (n-4)(1-g'); candidates are (g', c1A', A'.V)."""
-    return all(
-        AdotV > c1A + (n - 4) * (1 - gp) for gp, c1A, AdotV in candidates
-    )
-
-
-def stability_sufficient(n: int, g: int, candidates: Iterable[tuple[int, int]]) -> bool:
-    """Domain-stability criterion: A'.V >= <c1(X), A'> + n + 2g."""
-    return all(AdotV >= c1A + n + 2 * g for c1A, AdotV in candidates)
-
-
-def p4_line_candidates(delta: int, g: int, dmax: int = 5) -> list[tuple[int, int, int]]:
-    """Candidate classes for degree-d' curves in 4-dimensional projective
-    space against a degree-delta hypersurface, all genera up to g."""
-    return [
-        (gp, 5 * d, delta * d) for gp in range(g + 1) for d in range(1, dmax + 1)
-    ]
 
 
 GUARANTEED = "guaranteed"

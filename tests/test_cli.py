@@ -4,6 +4,7 @@ import os
 import re
 import shlex
 import shutil
+import time
 from pathlib import Path
 
 from gwverify import cli, hodge, localization
@@ -148,7 +149,8 @@ def test_graphs_output_golden(capsys):
 
 def test_scalar_output_golden(capsys):
     # sha256 of the full stdout: pins the per-locus str() of every scalar,
-    # the numeric evaluation and the printed DeltaPoly of each example
+    # the numeric evaluation, the printed DeltaPoly of each example and the
+    # Chern rows of each hypersurface
     golden = {
         ("localize", "--config", "fig7", "--eval", "5,2"):
             "d6606679206596d805540b8f7cf85f53f38eaf9e1fd2c724f65eacfb6406f750",
@@ -182,6 +184,18 @@ def test_scalar_output_golden(capsys):
             "bf9fa0ce69f5b7533278a8ec0c7f2ca596bbd04f15998385b0c5c0efccc81346",
         ("verify", "--example", "3", "--delta", "12", "--json"):
             "ca65eb9a6e404646da80b54e5043c3beb501b268c122124f96c9b848d6d2f28e",
+        ("chern", "--space", "P1", "--hypersurface", "5"):
+            "32705a0edb206270ccfbd7f7e0f7e9faf70a3fdc48b5881ae1562e88547b63e7",
+        ("chern", "--space", "P2", "--hypersurface", "5"):
+            "9629619068fee3a63985c5417d13ee36d11345bcf0ded23c90edf7396cf7fa3d",
+        ("chern", "--space", "P3", "--hypersurface", "5"):
+            "7b40737a0e05267e14a425566e67c41beeefdfd684c3bc7f7ac69b3b5a96b118",
+        ("chern", "--space", "P4", "--hypersurface", "5"):
+            "f0a3e953ac1a9ca3f78679da04de992fdeb35c0eeb8cb5776519d9d9c6202516",
+        ("chern", "--space", "P5", "--hypersurface", "5"):
+            "f46f50e3e689bf92fe328c7749f066603ab3af65d0b823922795ccfc8a533d23",
+        ("chern", "--space", "P6", "--hypersurface", "5"):
+            "63044c70f212f7c9aeb0ab8481cd7b267f36cc2c19e3c9a2b4b9fcd9a6a3c8cb",
     }
     for argv, digest in golden.items():
         code, out, _ = run(capsys, *argv)
@@ -234,6 +248,8 @@ def test_invalid_setting_is_a_usage_error(capsys):
         (("dim", "--n", "0", "--g", "1", "--c1A", "2"), "dimension"),
         (("dim", "--n", "4", "--g", "1", "--k", "-1", "--c1A", "2"), "marked point"),
         (("dim", "--n", "4", "--g", "1", "--c1A", "2", "--AdotV", "-1"), "A.V"),
+        (("verify", "--example", "3", "--symbolic", "--delta", "5"), "exclude each other"),
+        (("verify", "--example", "2", "--n", "9", "--delta", "2"), "example 1 only"),
     ):
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: ") and message in err, argv
@@ -250,6 +266,23 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
     )
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
+    # factors whose integrals the oracles reject fail on load, naming the locus
+    bad_factors = []
+    for i, (factor, insertion, deformation) in enumerate((
+        ({"kind": "dm", "g": 0, "n": 2}, "1", "1"),
+        ({"kind": "dm", "g": 4, "n": 1}, "1", "1"),
+        ({"kind": "dm", "g": 1, "n": 13}, "1", "1"),
+        ({"kind": "rubber", "g": 5}, "1", "1"),
+        ({"kind": "dm", "g": 2, "n": 2000}, "psi[0,1]", "a1 - psi[0,2]"),
+        ({"kind": "dm", "g": None, "n": 1}, "1", "1"),
+        ({"kind": "dm", "g": -1, "n": 5}, "1", "1"),
+        ({"kind": "rubber", "g": 0, "n": 2}, "1", "1"),
+        ({"kind": "rubber", "g": 1, "n": -1}, "1", "1"),
+    )):
+        (tmp_path / f"factor{i}").mkdir()
+        bad_factors.append(_point_diagram(
+            tmp_path / f"factor{i}", "1", deformation, insertion=insertion, base=(factor,)
+        ))
     for argv in (
         ("psi", "--g", "7", "--exponents", "18"),
         ("psi", "--g", "1", "--exponents", thirteen),
@@ -263,10 +296,14 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         ("localize", "--config", str(deep)),
         ("localize", "--config", power),
         ("localize", "--config", nested_power),
+        *(("localize", "--config", path) for path in bad_factors),
         ("localize", "--config", nested),
     ):
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == "" and err.startswith("error: "), (argv[:2], code, err[:200])
+        if argv[-1] in bad_factors:
+            assert "locus 'pt': bad factor" in err and time.perf_counter() - start < 1, err
         if argv[-1] == nested_power:
             assert "locus 'pt': bad insertion expression: nested exponents multiply to 4096" in err
     assert "locus 'pt': bad insertion expression: expression nested too deeply" in err
@@ -399,9 +436,11 @@ def test_selftest_reports_a_table_row_that_disagrees_after_normalisation(capsys,
         _reset_data_caches()
 
 
-def _point_diagram(tmp_path, obstruction, deformation, expected=None, insertion="1"):
-    """A one-locus user diagram over a point: its total is
-    insertion*obstruction/deformation."""
+def _point_diagram(
+    tmp_path, obstruction, deformation, expected=None, insertion="1", base=({"kind": "point"},)
+):
+    """A one-locus user diagram, over a point unless ``base`` says otherwise:
+    over a point its total is insertion*obstruction/deformation."""
     problem = {
         "schema_version": 1,
         "label": "user",
@@ -411,7 +450,7 @@ def _point_diagram(tmp_path, obstruction, deformation, expected=None, insertion=
         "loci": [
             {
                 "label": "pt",
-                "base": [{"kind": "point"}],
+                "base": list(base),
                 "insertion": insertion,
                 "obstruction": obstruction,
                 "deformation": deformation,

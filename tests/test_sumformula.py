@@ -15,9 +15,6 @@ from gwverify.sumformula import (
     assemble_example,
     enumerate_graphs,
     example_graphs,
-    hollow_sufficient,
-    p4_line_candidates,
-    stability_sufficient,
     surviving_graphs,
     thm1_verdict,
     vanishing_filter,
@@ -48,25 +45,6 @@ def test_vir_dim_all_ones_property():
             for AdotV in range(5):
                 ones = vir_dim(n, g, 2, 3, s=[1] * AdotV if AdotV else [], AdotV=AdotV)
                 assert ones == vir_dim(n, g, 2, 3, AdotV=AdotV)
-
-
-# -- hollowness and stability -----------------------------------------------------
-
-def test_hollow_sufficient():
-    # degree-6 hypersurface: 6d > 5d always
-    assert hollow_sufficient(4, p4_line_candidates(6, 3))
-    # degree-5: 5d > 5d fails
-    assert not hollow_sufficient(4, p4_line_candidates(5, 3))
-    assert hollow_sufficient(4, [])
-
-
-def test_stability_sufficient():
-    # need delta*d >= 5d + 4 + 2g: delta=15, g=3 works for d=1
-    cands = [(5 * d, 15 * d) for d in range(1, 6)]
-    assert stability_sufficient(4, 3, cands)
-    cands5 = [(5 * d, 5 * d) for d in range(1, 6)]
-    assert not stability_sufficient(4, 3, cands5)
-    assert stability_sufficient(4, 3, [])
 
 
 # -- verdicts ----------------------------------------------------------------------
