@@ -59,6 +59,17 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return out
 
 
+def _int(digits: str, pos: int) -> int:
+    """The integer literal at ``pos``; one longer than the interpreter
+    converts (``sys.get_int_max_str_digits``) is a :class:`ParseError`."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"integer literal of {len(digits)} digits at position {pos} is too long"
+        ) from None
+
+
 class _Parser:
     def __init__(self, text: str, base: BaseSpace):
         self.text = text
@@ -125,7 +136,7 @@ class _Parser:
         kind, val, pos = self.next()
         if kind != "int":
             raise ParseError(f"expected {what} at position {pos}")
-        return int(val)
+        return _int(val, pos)
 
     def signed(self) -> TautClass:
         if self.peek()[1] == "-":
@@ -154,7 +165,7 @@ class _Parser:
     def atom(self) -> TautClass:
         kind, val, pos = self.next()
         if kind == "int":
-            return TautClass.scalar(self.base, int(val))
+            return TautClass.scalar(self.base, _int(val, pos))
         if val == "(":
             out = self.expr()
             self.expect(")")

@@ -195,7 +195,24 @@ def problem_numeric_total(problem: LocalizationProblem, weights) -> Fraction:
 # schema
 # ---------------------------------------------------------------------------
 
+# the JSON type of each value json.load returns, with its article
+_JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def _require(value, kind: type, where: str, what: str):
+    """``value`` when it is a ``kind`` (dict or list), else a
+    :class:`SchemaError` saying that ``what`` must be that JSON type."""
+    if not isinstance(value, kind):
+        got = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise SchemaError(f"{where}: {what} must be {_JSON_TYPES[kind]}, not {got}")
+    return value
+
+
 def _parse_factor(raw: dict, where: str):
+    _require(raw, dict, where, "a base factor")
     kind = raw.get("kind")
     try:
         if kind == "dm":
@@ -212,6 +229,7 @@ def _parse_factor(raw: dict, where: str):
 
 
 def _parse_term(raw: dict, where: str) -> LocusTerm:
+    _require(raw, dict, where, "a term")
     factors = raw.get("base")
     if not isinstance(factors, list) or not factors:
         raise SchemaError(f"{where}: missing or empty base")
@@ -236,6 +254,7 @@ def _parse_term(raw: dict, where: str) -> LocusTerm:
 
 
 def _parse_locus(raw: dict, where: str) -> FixedLocusSpec:
+    _require(raw, dict, where, "a locus")
     label = raw.get("label")
     if not label:
         raise SchemaError(f"{where}: locus without a label")
@@ -246,7 +265,8 @@ def _parse_locus(raw: dict, where: str) -> FixedLocusSpec:
     if "terms" in raw:
         if any(k in raw for k in ("insertion", "obstruction", "deformation")):
             raise SchemaError(f"{where}: give either expression fields or terms, not both")
-        terms = tuple(_parse_term(t, f"{where} term {i}") for i, t in enumerate(raw["terms"]))
+        raw_terms = _require(raw["terms"], list, where, "terms")
+        terms = tuple(_parse_term(t, f"{where} term {i}") for i, t in enumerate(raw_terms))
         if not terms:
             raise SchemaError(f"{where}: empty terms list")
     else:
@@ -260,6 +280,7 @@ def _parse_locus(raw: dict, where: str) -> FixedLocusSpec:
 
 
 def parse_problem(payload: dict, where: str) -> LocalizationProblem:
+    _require(payload, dict, where, "a diagram")
     version = payload.get("schema_version", 1)
     if version != 1:
         raise SchemaError(f"{where}: unsupported schema_version {version!r}")

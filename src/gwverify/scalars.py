@@ -322,8 +322,13 @@ def _canon(d: int, row: Sequence[int], den: int = 1) -> WeightPoly:
         g = -g
     if g != 1:
         row = tuple(x // g for x in row)
-    # the shared _ONE lets products skip multiplying by a content of 1
-    return _form(d, _ONE if g == den else Fraction(g, den), row)
+    # the shared _ONE lets products skip multiplying by a content of 1, and
+    # Fraction(g) skips the gcd that Fraction(g, 1) takes
+    if g == den:
+        c = _ONE
+    else:
+        c = Fraction(g) if den == 1 else Fraction(g, den)
+    return _form(d, c, row)
 
 
 def _sum_forms(d: int, forms: Sequence[WeightPoly]) -> WeightPoly:
@@ -387,7 +392,9 @@ def poly_divexact(p: WeightPoly, g: WeightPoly) -> WeightPoly:
     quo = rp if len(rg) == 1 else _iexquo(rp, rg)  # a primitive rg of length 1 is (1,)
     if ip < ig or jp < jg:
         raise ArithmeticError("inexact polynomial division")
-    return _form(p.d - g.d, p.c / g.c, (0,) * (jp - jg) + quo)
+    # gcds and canonical denominators share the content _ONE
+    c = p.c if g.c is _ONE else p.c / g.c
+    return _form(p.d - g.d, c, (0,) * (jp - jg) + quo)
 
 
 # ---------------------------------------------------------------------------
@@ -490,38 +497,66 @@ class EquivariantScalar:
     def dot(
         pairs: Sequence[tuple["EquivariantScalar", "EquivariantScalar"]]
     ) -> "EquivariantScalar":
-        """``sum(a * b for a, b in pairs)``, reduced once per denominator.
+        """``sum(a * b for a, b in pairs)``, reduced once.
 
-        The raw products ``a.num * b.num / (a.den * b.den)`` are grouped by
-        raw denominator; each group's numerators are added unreduced, and
-        only the group's sum is brought to canonical form.  A denominator
-        of 1 costs nothing: it is not multiplied, and the group over it is
-        already canonical.  Products of mixed degree are added one at a
-        time instead, so that they raise, or cancel, exactly as that sum
-        does.
+        Each raw product ``a.num * b.num / (a.den * b.den)`` is kept as an
+        integer content ``p/q`` and an integer row, grouped by its raw
+        denominator, a form of content 1.  The groups are put over the lcm
+        of their raw denominators, all rows are added over one integer
+        denominator, and only that one sum is brought to canonical form:
+        k distinct raw denominators cost at most k gcds, and a denominator
+        of 1 costs none.  Products of mixed degree are added one at a time
+        instead, so that they raise, or cancel, exactly as that sum does.
         """
-        groups: dict[WeightPoly, list[WeightPoly]] = {}
+        # keyed on (degree, row): a content-1 form is its row, and a tuple
+        # of ints hashes faster than the Fraction content
+        groups: dict[tuple[int, Row], list[tuple[int, int, Row]]] = {}
         degrees = set()
+        q = 1  # the lcm of the contents' denominators
         for a, b in pairs:
-            if a.num.row and b.num.row:
-                num = a.num * b.num
+            x, y = a.num, b.num
+            if x.row and y.row:
                 den = b.den if not a.den.d else a.den if not b.den.d else a.den * b.den
-                groups.setdefault(den, []).append(num)
-                degrees.add(num.d - den.d)
-        total = ES_ZERO
+                cx, cy = x.c, y.c
+                r = cx.denominator * cy.denominator
+                if r != 1:
+                    q = _int_lcm(q, r)
+                groups.setdefault((den.d, den.row), []).append(
+                    (cx.numerator * cy.numerator, r, _rmul(x.row, y.row))
+                )
+                degrees.add(x.d + y.d - den.d)
         if len(degrees) > 1:
+            total = ES_ZERO
             for a, b in pairs:
                 total = total + a * b
             return total
-        for den, nums in groups.items():
-            num = nums[0] if len(nums) == 1 else _sum_forms(nums[0].d, nums)
-            if den.d:
-                total = total + EquivariantScalar(num, den)
-            elif num.row:
-                res = EquivariantScalar.__new__(EquivariantScalar)
-                res.num, res.den = num, _ONE_POLY
-                total = total + res
-        return total
+        if not groups:
+            return ES_ZERO
+        lcm = _ONE_POLY
+        for e, row in groups:
+            if e:
+                den = _form(e, _ONE, row)
+                lcm = lcm * poly_divexact(den, poly_gcd(lcm, den)) if lcm.d else den
+        d = degrees.pop()
+        acc = [0] * (d + lcm.d + 1)
+        for (e, den_row), terms in groups.items():
+            # a group over the lcm adds straight into the sum
+            part = acc if e == lcm.d else [0] * (d + e + 1)
+            for p, r, row in terms:
+                k = p * (q // r)
+                for i, x in enumerate(row):
+                    if x:
+                        part[i] += k * x
+            if part is not acc:
+                cofactor = poly_divexact(lcm, _form(e, _ONE, den_row)).row
+                for i, x in enumerate(_rmul(part, cofactor)):
+                    acc[i] += x
+        num = _canon(d + lcm.d, acc, q)
+        if lcm.d and num.row:
+            return EquivariantScalar(num, lcm)
+        res = EquivariantScalar.__new__(EquivariantScalar)
+        res.num, res.den = num, _ONE_POLY
+        return res
 
     def __truediv__(self, other: "EquivariantScalar") -> "EquivariantScalar":
         if other.is_zero():

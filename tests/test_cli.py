@@ -266,6 +266,27 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
     )
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
+    # entries that are not JSON objects, or terms that is not a list
+    not_objects = {}
+    for i, (payload, message) in enumerate((
+        ([{"label": "pt"}], ": a diagram must be an object, not an array"),
+        ({"label": "user", "loci": [1]}, ": a locus must be an object, not a number"),
+        (
+            {"label": "user", "loci": [{"label": "pt", "terms": [1]}]},
+            " locus 'pt' term 0: a term must be an object, not a number",
+        ),
+        (
+            {"label": "user", "loci": [{"label": "pt", "terms": "xy"}]},
+            " locus 'pt': terms must be an array, not a string",
+        ),
+        (
+            {"label": "user", "loci": [{"label": "pt", "base": [1]}]},
+            " locus 'pt': a base factor must be an object, not a number",
+        ),
+    )):
+        path = tmp_path / f"not_object{i}.json"
+        path.write_text(json.dumps(payload))
+        not_objects[str(path)] = f"{path}{message}"
     # factors whose integrals the oracles reject fail on load, naming the locus
     bad_factors = []
     for i, (factor, insertion, deformation) in enumerate((
@@ -297,6 +318,7 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         ("localize", "--config", power),
         ("localize", "--config", nested_power),
         *(("localize", "--config", path) for path in bad_factors),
+        *(("localize", "--config", path) for path in not_objects),
         ("localize", "--config", nested),
     ):
         start = time.perf_counter()
@@ -304,6 +326,8 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         assert code == 2 and out == "" and err.startswith("error: "), (argv[:2], code, err[:200])
         if argv[-1] in bad_factors:
             assert "locus 'pt': bad factor" in err and time.perf_counter() - start < 1, err
+        if argv[-1] in not_objects:
+            assert err == f"error: {not_objects[argv[-1]]}\n", err
         if argv[-1] == nested_power:
             assert "locus 'pt': bad insertion expression: nested exponents multiply to 4096" in err
     assert "locus 'pt': bad insertion expression: expression nested too deeply" in err

@@ -341,6 +341,14 @@ def test_exponent_above_the_bound_is_schema_error():
     assert problem_total(problem("(a1+a2)^64/(a1+a2)^64")) == 1
     with pytest.raises(SchemaError, match="locus 'pt': bad insertion expression: exponent 65"):
         problem("(a1+a2)^65")
+    # a literal longer than the interpreter converts to int is rejected the same way
+    for insertion in ("a1*" + "9" * 5000 + "/a1", "a1^" + "9" * 5000):
+        with pytest.raises(
+            SchemaError,
+            match="locus 'pt': bad insertion expression: integer literal of 5000 digits "
+            "at position 3 is too long",
+        ):
+            problem(insertion)
 
 
 def test_deformation_must_be_invertible():

@@ -371,6 +371,28 @@ def test_dot_is_the_sum_of_products():
         for a, b in pairs:
             expected = expected + a * b
         assert _assert_canonical(EquivariantScalar.dot(pairs)) == expected
+    # raw denominators that share a factor, so their lcm is not their product
+    s, d = A1 + A2, A1 - A2
+    shared = [
+        [(A1 / (s * d), A2), (A2 / s, ES_ONE)],
+        [(A1 / s, A2 / d), (ES_ONE / s, A1), (A2 / (s * d), s), (ES_ONE, A2 * A2 / (s * s))],
+        [(A1 / (s * s), A1 / d), (A2 / (s * d), A1 / d), (const(3), A1 * A1 / (s * s * d))],
+    ]
+    # and sums that cancel to 0 across groups with different raw denominators
+    cancelling = [
+        [(ES_ONE / A1, ES_ONE / A2), (-ES_ONE / (A1 * A1), A1 / A2)],
+        [(ES_ONE / s, ES_ONE / d), (-A1 / (s * d), ES_ONE / A1)],
+        [
+            (A2 / (s * d), ES_ONE), (-A2 / s, ES_ONE / d),
+            (A1 / (s * s), const(1, 2)), (-A1 / (s * A2), A2 / s.scale(2)),
+        ],
+    ]
+    for pairs in shared + cancelling:
+        expected = ES_ZERO
+        for a, b in pairs:
+            expected = expected + a * b
+        assert _assert_canonical(EquivariantScalar.dot(pairs)) == expected
+        assert expected.is_zero() == (pairs in cancelling)
     # mixed degrees add one product at a time, as + does
     assert EquivariantScalar.dot([(A1, ES_ONE), (-A1, ES_ONE), (ES_ONE, ES_ONE)]) == ES_ONE
     with pytest.raises(Inhomogeneous, match="degree 1 and 0"):
@@ -410,6 +432,29 @@ def test_dot_over_denominator_one(monkeypatch):
     with pytest.raises(Inhomogeneous) as grouped:
         EquivariantScalar.dot(pairs)
     assert str(grouped.value) == str(sequential.value)
+
+
+def test_dot_takes_one_gcd_per_raw_denominator(monkeypatch):
+    # the unit-inverse shape: the raw denominators a1^2, a1^3 and a1^4
+    from gwverify import scalars
+
+    pairs = [
+        (A2 / A1, (A1 + A2) / A1),
+        (A2.scale(3) / A1, A2 * A2 / (A1 * A1)),
+        (A2 * A2.scale(-2) / (A1 * A1), A2 * A2 / (A1 * A1)),
+    ]
+    dens = {(a.den * b.den).degree() for a, b in pairs}
+    assert dens == {2, 3, 4}
+    gcds = []
+    original = scalars.poly_gcd
+    monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: gcds.append(1) or original(p, q))
+    total = EquivariantScalar.dot(pairs)
+    assert len(gcds) <= len(dens)
+    monkeypatch.undo()
+    expected = ES_ZERO
+    for a, b in pairs:
+        expected = expected + a * b
+    assert _assert_canonical(total) == expected
 
 
 def test_ring_product_is_the_termwise_sum():
