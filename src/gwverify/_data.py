@@ -14,6 +14,32 @@ from typing import Any
 from .errors import SchemaError
 
 
+# the JSON type of each value json.load returns, with its article
+JSON_TYPES = {
+    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
+    int: "a number", float: "a number", type(None): "null",
+}
+
+
+def require(value, kind: type, where: str, what: str):
+    """``value`` when it is a ``kind`` (dict, list or str), else a
+    :class:`SchemaError` saying that ``what`` must be that JSON type."""
+    if not isinstance(value, kind):
+        got = JSON_TYPES.get(type(value), type(value).__name__)
+        raise SchemaError(f"{where}: {what} must be {JSON_TYPES[kind]}, not {got}")
+    return value
+
+
+def json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer, else a TypeError saying that
+    ``what`` must be one: a float, a boolean or a numeric string is not
+    converted.  Callers add the file and the row to the message."""
+    if type(value) is not int:
+        got = value if type(value) is float else JSON_TYPES.get(type(value), type(value).__name__)
+        raise TypeError(f"{what} must be an integer, not {got}")
+    return value
+
+
 def data_root():
     override = os.environ.get("GWVERIFY_DATA_DIR")
     if override:

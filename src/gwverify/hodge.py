@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from ._data import load_json
+from ._data import json_int, load_json, require
 from .errors import (
     GenusOutOfRange,
     SchemaError,
@@ -148,27 +148,39 @@ def _table(name: str) -> dict[tuple, Fraction]:
     """Table ``name`` keyed by (g, n, psi, normal lambda form), each value
     divided by its rewrite coefficient.  A rubber row's psi is the target's
     exponent, a DM row's one exponent per point (stored descending).  A row
-    in the relation ideal with a nonzero value, or two rows that disagree
-    after normalisation, is a SchemaError naming the file and the entries.
+    that is not an object of JSON integers and a string value, a row in the
+    relation ideal with a nonzero value, a DM row without lambda whose value
+    is not the psi recursion's, or two rows that disagree after
+    normalisation, is a SchemaError naming the file and the entries.
     """
     table = _TABLES.get(name)
     if table is not None:
         return table
     payload, where = load_json("tables", name)
+    require(payload, dict, where, "a table")
     table, origin = {}, {}
-    for i, entry in enumerate(payload.get("entries", [])):
+    for i, entry in enumerate(require(payload.get("entries"), list, where, "entries")):
         loc = f"{where}: entries[{i}]"
+        require(entry, dict, loc, "a row")
+        value = require(entry.get("value"), str, loc, "value")
         try:
-            g, n, psi = int(entry["g"]), int(entry.get("n", 0)), entry["psi"]
+            g, n, psi = json_int(entry["g"], "g"), json_int(entry.get("n", 0), "n"), entry["psi"]
             if name == "rubber.json":
-                psi = int(psi)
+                psi = json_int(psi, "psi")
             else:
-                psi = tuple(sorted((int(a) for a in psi), reverse=True))
-            lam = tuple(int(e) for e in entry["lambda"])
-            value = rat_from_str(entry["value"])
+                psi = tuple(sorted((json_int(a, "psi") for a in psi), reverse=True))
+            lam = tuple(json_int(e, "lambda") for e in entry["lambda"])
+            value = rat_from_str(value)
             if len(lam) != g or isinstance(psi, tuple) and len(psi) != n:
                 raise ValueError("exponent vectors do not match (g, n)")
             normal = rewrite_lambda(g, lam)
+            if name == "dm_intersections.json" and not any(lam):
+                recursion = psi_intersect(PsiKey(g, psi))
+                if value != recursion:
+                    raise ValueError(
+                        f"psi={list(psi)} without lambda has value {value}, "
+                        f"but the psi recursion gives {recursion}"
+                    )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{loc}: {exc}") from exc
         if normal is None:

@@ -36,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ._data import load_json, read_json
+from ._data import json_int, load_json, read_json, require
 from .errors import (
     BaseMismatch,
     DenominatorVanishes,
@@ -195,41 +195,25 @@ def problem_numeric_total(problem: LocalizationProblem, weights) -> Fraction:
 # schema
 # ---------------------------------------------------------------------------
 
-# the JSON type of each value json.load returns, with its article
-_JSON_TYPES = {
-    dict: "an object", list: "an array", str: "a string", bool: "a boolean",
-    int: "a number", float: "a number", type(None): "null",
-}
-
-
-def _require(value, kind: type, where: str, what: str):
-    """``value`` when it is a ``kind`` (dict or list), else a
-    :class:`SchemaError` saying that ``what`` must be that JSON type."""
-    if not isinstance(value, kind):
-        got = _JSON_TYPES.get(type(value), type(value).__name__)
-        raise SchemaError(f"{where}: {what} must be {_JSON_TYPES[kind]}, not {got}")
-    return value
-
-
 def _parse_factor(raw: dict, where: str):
-    _require(raw, dict, where, "a base factor")
+    require(raw, dict, where, "a base factor")
     kind = raw.get("kind")
     try:
         if kind == "dm":
-            return DMFactor(int(raw["g"]), int(raw["n"]))
+            return DMFactor(json_int(raw["g"], "g"), json_int(raw["n"], "n"))
         if kind == "p1":
             return ProjLineFactor()
         if kind == "point":
             return PointFactor()
         if kind == "rubber":
-            return RubberFactor(int(raw["g"]), int(raw.get("n", 0)))
+            return RubberFactor(json_int(raw["g"], "g"), json_int(raw.get("n", 0), "n"))
     except (LookupError, TypeError, ValueError) as exc:  # or a factor the oracles reject
         raise SchemaError(f"{where}: bad factor {raw!r} ({exc})") from exc
     raise SchemaError(f"{where}: unknown factor kind {kind!r}")
 
 
 def _parse_term(raw: dict, where: str) -> LocusTerm:
-    _require(raw, dict, where, "a term")
+    require(raw, dict, where, "a term")
     factors = raw.get("base")
     if not isinstance(factors, list) or not factors:
         raise SchemaError(f"{where}: missing or empty base")
@@ -254,10 +238,11 @@ def _parse_term(raw: dict, where: str) -> LocusTerm:
 
 
 def _parse_locus(raw: dict, where: str) -> FixedLocusSpec:
-    _require(raw, dict, where, "a locus")
+    require(raw, dict, where, "a locus")
     label = raw.get("label")
     if not label:
         raise SchemaError(f"{where}: locus without a label")
+    require(label, str, where, "a locus label")
     where = f"{where} locus {label!r}"
     vanishes = raw.get("vanishes")
     if vanishes is not None:
@@ -265,7 +250,7 @@ def _parse_locus(raw: dict, where: str) -> FixedLocusSpec:
     if "terms" in raw:
         if any(k in raw for k in ("insertion", "obstruction", "deformation")):
             raise SchemaError(f"{where}: give either expression fields or terms, not both")
-        raw_terms = _require(raw["terms"], list, where, "terms")
+        raw_terms = require(raw["terms"], list, where, "terms")
         terms = tuple(_parse_term(t, f"{where} term {i}") for i, t in enumerate(raw_terms))
         if not terms:
             raise SchemaError(f"{where}: empty terms list")
@@ -280,13 +265,14 @@ def _parse_locus(raw: dict, where: str) -> FixedLocusSpec:
 
 
 def parse_problem(payload: dict, where: str) -> LocalizationProblem:
-    _require(payload, dict, where, "a diagram")
+    require(payload, dict, where, "a diagram")
     version = payload.get("schema_version", 1)
     if version != 1:
         raise SchemaError(f"{where}: unsupported schema_version {version!r}")
     label = payload.get("label")
     if not label:
         raise SchemaError(f"{where}: missing problem label")
+    require(label, str, where, "the problem label")
     raw_loci = payload.get("loci")
     if not isinstance(raw_loci, list) or not raw_loci:
         raise SchemaError(f"{where}: a problem needs at least one locus")

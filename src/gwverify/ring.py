@@ -6,25 +6,31 @@ factor (x^2 = 0), and the target psi-class on each rubber factor.  Each
 factor declares its generators once, in ``gens``: exponent slots, degrees
 and labels come from there, and the parser looks identifiers up in it.
 Coefficients are :class:`EquivariantScalar`; the equivariant weights do not
-count toward the truncation degree.  Monomials are truncated per factor at
-the factor dimension: anything deeper can never integrate to a nonzero
-value, and degrees only grow under multiplication.
+count toward the truncation degree.  A monomial is one flat tuple of
+exponents, the factors' slots in order.  Monomials are truncated per factor
+at the factor dimension: anything deeper can never integrate to a nonzero
+value, and degrees only grow under multiplication.  Products therefore pair
+terms by their degree on each factor: two groups of terms multiply only when
+their degrees add up to at most each factor's dimension.
 
 Integration is factor-wise: Deligne-Mumford factors evaluate through the
 mixed psi/lambda oracle, rubber factors through the rubber table, and a
 projective-line factor contributes the coefficient of x.  A DM or rubber
 factor that its oracle cannot integrate over is rejected when it is built.
-``tc_integrate(a, b)`` pairs a product without forming its lower degrees.
+``tc_integrate(a, b)`` pairs a product without forming its lower degrees:
+a top-degree term has every factor at its dimension, so each degree group of
+``a`` meets one group of ``b``.
 :func:`mumford_product_check` reduces a product of two :func:`hodge_twist`
 factors with the lambda relations, so it checks the twist the diagrams use.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import accumulate
+from operator import add, le, mul, sub
 from typing import Optional, Sequence
 
 from .errors import BaseMismatch, GenusOutOfRange, NonInvertible
@@ -40,7 +46,10 @@ from .hodge import (
 )
 from .scalars import ES_ONE, ES_ZERO, EquivariantScalar, Rational, power
 
-Mono = tuple[tuple[int, ...], ...]
+Mono = tuple[int, ...]
+Degrees = tuple[int, ...]  # a monomial's degree on each factor
+Terms = list[tuple[Mono, EquivariantScalar]]
+Pairs = dict[Mono, list[tuple[EquivariantScalar, EquivariantScalar]]]
 Gen = tuple[str, Optional[int], int]
 
 
@@ -143,21 +152,26 @@ class RubberFactor(Factor):
 
 @dataclass(frozen=True)
 class BaseSpace:
+    """A product of factors; ``spans`` holds the (start, stop) range of each
+    factor's exponent slots in a monomial."""
+
     factors: tuple[Factor, ...]
+    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ends = tuple(accumulate((len(f.gens) for f in self.factors), initial=0))
+        object.__setattr__(self, "spans", tuple(zip(ends, ends[1:])))
 
     @property
     def dim(self) -> int:
         return sum(f.dim for f in self.factors)
 
-    def zero_mono(self) -> Mono:
-        return tuple((0,) * len(f.gens) for f in self.factors)
+    @property
+    def dims(self) -> Degrees:
+        return tuple(f.dim for f in self.factors)
 
-    @cached_property
-    def products(self) -> dict[tuple[Mono, Mono], Optional[Mono]]:
-        """Monomial products by pair, filled by :meth:`TautClass.__mul__` and
-        :func:`tc_integrate` on first use: the sum of the two exponent
-        tuples, or None where the ring truncates it."""
-        return {}
+    def zero_mono(self) -> Mono:
+        return (0,) * sum(len(f.gens) for f in self.factors)
 
     def __str__(self) -> str:
         return " x ".join(str(f) for f in self.factors) if self.factors else "pt"
@@ -198,9 +212,9 @@ class TautClass:
                 break
         else:
             raise BaseMismatch(f"no {_label(name, factor, index)} on {base}")
-        mono = [list(e) for e in base.zero_mono()]
-        mono[factor][slot] += 1
-        m = tuple(tuple(e) for e in mono)
+        mono = list(base.zero_mono())
+        mono[base.spans[factor][0] + slot] += 1
+        m = tuple(mono)
         if not _mono_ok(base, m):
             return cls(base)
         return cls(base, {m: ES_ONE})
@@ -256,12 +270,13 @@ class TautClass:
 
     def __mul__(self, other: "TautClass") -> "TautClass":
         self._require_same_base(other)
-        pairs: dict[Mono, list[tuple[EquivariantScalar, EquivariantScalar]]] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = _product(self.base, m1, m2)
-                if m is not None:
-                    pairs.setdefault(m, []).append((c1, c2))
+        dims = self.base.dims
+        right = _by_degrees(other)
+        pairs: Pairs = {}
+        for d1, terms1 in _by_degrees(self).items():
+            for d2, terms2 in right.items():
+                if all(map(le, map(add, d1, d2), dims)):
+                    _pair(pairs, terms1, terms2)
         res = TautClass(self.base)
         for m, ps in pairs.items():
             s = EquivariantScalar.dot(ps)
@@ -292,23 +307,32 @@ class TautClass:
     __repr__ = __str__
 
 
-def _product(base: BaseSpace, m1: Mono, m2: Mono) -> Optional[Mono]:
-    """The product of two monomials, or None where the ring truncates it,
-    read from and filled into the base's product table."""
-    try:
-        return base.products[m1, m2]
-    except KeyError:
-        m = tuple(tuple(a + b for a, b in zip(e1, e2)) for e1, e2 in zip(m1, m2))
-        m = base.products[m1, m2] = m if _mono_ok(base, m) else None
-        return m
+def _by_degrees(a: TautClass) -> dict[Degrees, Terms]:
+    """The terms of ``a`` grouped by their degree on each factor."""
+    groups: dict[Degrees, Terms] = {}
+    for m, c in a.terms.items():
+        groups.setdefault(_mono_degrees(a.base, m), []).append((m, c))
+    return groups
+
+
+def _pair(pairs: Pairs, terms1: Terms, terms2: Terms) -> None:
+    """Add the coefficient pair of every product of two terms to ``pairs``,
+    under the product's monomial."""
+    for m1, c1 in terms1:
+        for m2, c2 in terms2:
+            pairs.setdefault(tuple(map(add, m1, m2)), []).append((c1, c2))
+
+
+def _mono_degrees(base: BaseSpace, m: Mono) -> Degrees:
+    return tuple(f.degree(m[s:t]) for f, (s, t) in zip(base.factors, base.spans))
 
 
 def _mono_ok(base: BaseSpace, m: Mono) -> bool:
-    return all(f.degree(e) <= f.dim for f, e in zip(base.factors, m))
+    return all(map(le, _mono_degrees(base, m), base.dims))
 
 
 def _mono_degree(base: BaseSpace, m: Mono) -> int:
-    return sum(f.degree(e) for f, e in zip(base.factors, m))
+    return sum(_mono_degrees(base, m))
 
 
 def _label(name: str, factor: int, index: Optional[int]) -> str:
@@ -317,8 +341,8 @@ def _label(name: str, factor: int, index: Optional[int]) -> str:
 
 def _mono_str(base: BaseSpace, m: Mono) -> str:
     names = []
-    for fi, (f, e) in enumerate(zip(base.factors, m)):
-        for (name, index, _), k in zip(f.gens, e):
+    for fi, (f, (s, t)) in enumerate(zip(base.factors, base.spans)):
+        for (name, index, _), k in zip(f.gens, m[s:t]):
             if k:
                 label = _label(name, fi, index)
                 names.append(label if k == 1 else f"{label}^{k}")
@@ -356,26 +380,23 @@ def tc_integrate(a: TautClass, b: Optional[TautClass] = None) -> EquivariantScal
     degree are formed, each coefficient by one :meth:`EquivariantScalar.dot`
     as ``*`` forms it, so the value is ``tc_integrate(a * b)``.
     """
-    base, dim = a.base, a.base.dim
+    base, dims = a.base, a.base.dims
     if b is None:
-        top = {m: c for m, c in a.terms.items() if _mono_degree(base, m) == dim}
+        top = {m: c for m, c in a.terms.items() if _mono_degrees(base, m) == dims}
     else:
         a._require_same_base(b)
-        by_degree: dict[int, list[tuple[Mono, EquivariantScalar]]] = {}
-        for m2, c2 in b.terms.items():
-            by_degree.setdefault(_mono_degree(base, m2), []).append((m2, c2))
-        pairs: dict[Mono, list[tuple[EquivariantScalar, EquivariantScalar]]] = {}
-        for m1, c1 in a.terms.items():
-            for m2, c2 in by_degree.get(dim - _mono_degree(base, m1), ()):
-                m = _product(base, m1, m2)
-                if m is not None:
-                    pairs.setdefault(m, []).append((c1, c2))
+        right = _by_degrees(b)
+        pairs: Pairs = {}
+        for d, terms in _by_degrees(a).items():
+            partner = right.get(tuple(map(sub, dims, d)))
+            if partner:
+                _pair(pairs, terms, partner)
         top = {m: EquivariantScalar.dot(ps) for m, ps in pairs.items()}
     total = ES_ZERO
     for m in sorted(m for m, c in top.items() if not c.is_zero()):
         val = Fraction(1)
-        for f, e in zip(base.factors, m):
-            val *= f.integral(e)
+        for f, (s, t) in zip(base.factors, base.spans):
+            val *= f.integral(m[s:t])
             if val == 0:
                 break
         if val != 0:
@@ -420,14 +441,14 @@ def mumford_product_check(g: int, w: EquivariantScalar) -> bool:
     f = DMFactor(g, max(0, 3 - g))
     base = BaseSpace((f,))
     reduced: dict[tuple[int, ...], EquivariantScalar] = {}
-    for (e,), c in hodge_twist(base, 0, [w, -w]).terms.items():
+    for e, c in hodge_twist(base, 0, [w, -w]).terms.items():
         normal = rewrite_lambda(g, e[f.n :])
         if normal is not None:
             coeff, lt = normal
             key = e[: f.n] + lt
             reduced[key] = reduced.get(key, ES_ZERO) + c.scale(coeff)
     reduced = {key: c for key, c in reduced.items() if not c.is_zero()}
-    return reduced == {base.zero_mono()[0]: (w ** (2 * g)).scale((-1) ** g)}
+    return reduced == {base.zero_mono(): (w ** (2 * g)).scale((-1) ** g)}
 
 
 def hodge_twist_by_genus(

@@ -266,7 +266,9 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
     )
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
-    # entries that are not JSON objects, or terms that is not a list
+    # entries that are not JSON objects, terms that is not a list, or labels
+    # that are not strings
+    pt = {"kind": "point"}
     not_objects = {}
     for i, (payload, message) in enumerate((
         ([{"label": "pt"}], ": a diagram must be an object, not an array"),
@@ -282,6 +284,18 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         (
             {"label": "user", "loci": [{"label": "pt", "base": [1]}]},
             " locus 'pt': a base factor must be an object, not a number",
+        ),
+        (
+            {"label": "user", "loci": [{"label": 1, "base": [pt]}, {"label": "a", "base": [pt]}]},
+            ": a locus label must be a string, not a number",
+        ),
+        (
+            {"label": "user", "loci": [{"label": {"x": 1}, "base": [pt]}]},
+            ": a locus label must be a string, not an object",
+        ),
+        (
+            {"label": ["user"], "loci": [{"label": "pt", "base": [pt]}]},
+            ": the problem label must be a string, not an array",
         ),
     )):
         path = tmp_path / f"not_object{i}.json"
@@ -299,6 +313,8 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         ({"kind": "dm", "g": -1, "n": 5}, "1", "1"),
         ({"kind": "rubber", "g": 0, "n": 2}, "1", "1"),
         ({"kind": "rubber", "g": 1, "n": -1}, "1", "1"),
+        ({"kind": "dm", "g": 1.9, "n": 1}, "1", "1"),
+        ({"kind": "dm", "g": True, "n": "1"}, "1", "1"),
     )):
         (tmp_path / f"factor{i}").mkdir()
         bad_factors.append(_point_diagram(

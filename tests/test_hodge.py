@@ -221,9 +221,10 @@ def test_mumford_check_runs_the_ring_twist(monkeypatch):
 
     def twist_without_top(base, factor, weights):
         out = TautClass.one(base)
+        _, lam_g = base.spans[factor]  # lambda_g is the factor's last slot
         for w in weights:
             side = real_twist(base, factor, [w])
-            side.terms = {m: c for m, c in side.terms.items() if m[factor][-1] == 0}
+            side.terms = {m: c for m, c in side.terms.items() if m[lam_g - 1] == 0}
             out = out * side
         return out
 
@@ -405,3 +406,57 @@ def test_a_row_with_the_other_tables_psi_is_a_schema_error(
     first = _table_copy(tmp_path, monkeypatch, name, row)
     with pytest.raises(SchemaError, match=rf"{name}: entries\[{first}\]"):
         query()
+
+
+def _rows(*rows):
+    """A reshape that appends ``rows`` to the table's entries."""
+    return lambda payload: {**payload, "entries": payload["entries"] + list(rows)}
+
+
+@pytest.mark.parametrize(
+    "reshape, message",
+    [
+        (lambda payload: payload["entries"], r": a table must be an object, not an array"),
+        (lambda payload: {**payload, "entries": {}}, r": entries must be an array, not an object"),
+        (_rows(1), r": entries\[32\]: a row must be an object, not a number"),
+        (
+            _rows({"g": 1, "n": 1, "psi": [0], "lambda": [1], "value": 0.5}),
+            r": entries\[32\]: value must be a string, not a number",
+        ),
+        # int() would read these as DM(2, 1) and psi_1^4
+        (
+            _rows({"g": 2.9, "n": 1, "psi": [4], "lambda": [0, 0], "value": "1/1152"}),
+            r": entries\[32\]: g must be an integer, not 2\.9",
+        ),
+        (
+            _rows({"g": 2, "n": 1, "psi": ["4"], "lambda": [0, 0], "value": "1/1152"}),
+            r": entries\[32\]: psi must be an integer, not a string",
+        ),
+    ],
+)
+def test_a_table_of_the_wrong_shape_is_a_schema_error(
+    tmp_path, monkeypatch, restore_tables, reshape, message
+):
+    _table_copy(tmp_path, monkeypatch, "dm_intersections.json")
+    table = tmp_path / "data" / "tables" / "dm_intersections.json"
+    table.write_text(json.dumps(reshape(json.loads(table.read_text()))))
+    with pytest.raises(SchemaError, match=rf"dm_intersections\.json{message}"):
+        hval(1, [0], [1])
+
+
+def test_a_pure_psi_row_off_the_recursion_is_a_schema_error(
+    tmp_path, monkeypatch, restore_tables
+):
+    # no query reads psi_1^4 on DM(2, 1), so only the load compares it
+    _table_copy(tmp_path, monkeypatch, "dm_intersections.json")
+    table = tmp_path / "data" / "tables" / "dm_intersections.json"
+    payload = json.loads(table.read_text())
+    (i,) = (i for i, e in enumerate(payload["entries"]) if e["psi"] == [4] and e["g"] == 2)
+    payload["entries"][i]["value"] = "1/576"
+    table.write_text(json.dumps(payload))
+    with pytest.raises(
+        SchemaError,
+        match=rf"entries\[{i}\]: psi=\[4\] without lambda has value 1/576, "
+        r"but the psi recursion gives 1/1152",
+    ):
+        hval(1, [0], [1])
