@@ -30,14 +30,32 @@ def require(value, kind: type, where: str, what: str):
     return value
 
 
+def _json_typed(value, kind: type, noun: str, what: str):
+    """``value`` when its type is exactly ``kind``, else a TypeError saying
+    that ``what`` must be ``noun``; a float is named by its value."""
+    if type(value) is not kind:
+        got = value if type(value) is float else JSON_TYPES.get(type(value), type(value).__name__)
+        raise TypeError(f"{what} must be {noun}, not {got}")
+    return value
+
+
 def json_int(value, what: str) -> int:
     """``value`` when it is a JSON integer, else a TypeError saying that
     ``what`` must be one: a float, a boolean or a numeric string is not
     converted.  Callers add the file and the row to the message."""
-    if type(value) is not int:
-        got = value if type(value) is float else JSON_TYPES.get(type(value), type(value).__name__)
-        raise TypeError(f"{what} must be an integer, not {got}")
-    return value
+    return _json_typed(value, int, "an integer", what)
+
+
+def json_bool(value, what: str) -> bool:
+    """``value`` when it is a JSON boolean; a string such as "false" or a
+    number is a TypeError, as in :func:`json_int`."""
+    return _json_typed(value, bool, "a boolean", what)
+
+
+def json_str(value, what: str) -> str:
+    """``value`` when it is a JSON string; a number is a TypeError, as in
+    :func:`json_int`, so 0.5 is not read as a decimal."""
+    return _json_typed(value, str, "a string", what)
 
 
 def data_root():

@@ -11,7 +11,11 @@ Grammar (whitespace-insensitive):
     gen     := NAME '[' INT (',' INT)? ']'
 
 An exponent above ``MAX_EXPONENT`` (64) raises :class:`ParseError`, and so
-do nested powers whose exponents multiply past it, as in ``(a1^8)^9``.
+do nested powers whose exponents multiply past it, as in ``(a1^8)^9``.  A
+product, quotient, power or ``hodgetwist`` whose numerator forms or
+denominator would have weight degree above ``MAX_DEGREE`` (64) raises
+:class:`ParseError` naming the operator's position before it is built; a
+sum, cheap to build from bounded classes, is checked on its result.
 Rationals are spelled as divisions of integers (for instance ``5/165888``);
 division requires a scalar (degree-0, invertible) right-hand side.  Weight
 scalars are homogeneous in ``a1, a2``: adding scalars of different degrees,
@@ -25,6 +29,7 @@ or index the base does not have raises :class:`BaseMismatch`.
 from __future__ import annotations
 
 import re
+from operator import add
 
 from .errors import Inhomogeneous, ParseError
 from .ring import BaseSpace, TautClass, hodge_twist_by_genus
@@ -38,6 +43,9 @@ EMPTY_BASE = BaseSpace(())
 # the largest exponent after '^'; the shipped diagrams use at most 4, and a
 # larger one only lets one expression stall the parser
 MAX_EXPONENT = 64
+# the largest weight degree of a class's numerator forms or denominator;
+# the shipped diagrams reach 12, and products past it stall the parser
+MAX_DEGREE = 64
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -105,20 +113,33 @@ class _Parser:
             raise ParseError(f"unexpected {val!r} at position {pos} in {self.text!r}")
         return out
 
+    def bound(self, num: int, den: int, pos: int) -> None:
+        """Refuse to build a class whose numerator forms or denominator
+        would have weight degree ``num`` or ``den`` above MAX_DEGREE."""
+        if max(num, den) > MAX_DEGREE:
+            raise ParseError(
+                f"weight degree {max(num, den)} at position {pos} is above "
+                f"{MAX_DEGREE} in {self.text!r}"
+            )
+
     def expr(self) -> TautClass:
         out = self.term()
         while self.peek()[1] in ("+", "-"):
-            op = self.next()[1]
+            _, op, pos = self.next()
             rhs = self.term()
             out = out + rhs if op == "+" else out - rhs
+            # its denominator is an lcm, known once the sum is built
+            self.bound(*out.weight_degrees(), pos)
         return out
 
     def term(self) -> TautClass:
         out = self.signed()
         while self.peek()[1] in ("*", "/"):
-            op = self.next()[1]
+            _, op, pos = self.next()
             rhs = self.signed()
+            num, den = out.weight_degrees()
             if op == "*":
+                self.bound(*map(add, (num, den), rhs.weight_degrees()), pos)
                 out = out * rhs
             else:
                 parts = rhs.degree_parts()
@@ -129,7 +150,9 @@ class _Parser:
                 scalar = rhs.scalar_part()
                 if scalar.is_zero():
                     raise ParseError(f"division by zero in {self.text!r}")
-                out = out.scale(scalar.inverse())
+                inverse = scalar.inverse()
+                self.bound(num + inverse.num.degree(), den + inverse.den.degree(), pos)
+                out = out.scale(inverse)
         return out
 
     def integer(self, what: str) -> int:
@@ -158,6 +181,7 @@ class _Parser:
                     f"nested exponents multiply to {inner} at position {pos}, "
                     f"above {MAX_EXPONENT} in {self.text!r}"
                 )
+            self.bound(*(k * d for d in out.weight_degrees()), pos)
             out = out ** k
         self.power = max(outer, inner)
         return out
@@ -185,6 +209,11 @@ class _Parser:
                 self.next()
                 weights.append(self.expr())
             self.expect(")")
+            # each weight w enters as a polynomial of degree genus in w
+            degrees = [sum(d) for d in zip(*(w.weight_degrees() for w in weights))]
+            if genus * max(degrees) > MAX_DEGREE:
+                hodge_twist_by_genus(self.base, genus, [])  # a base without the factor raises first
+                self.bound(*(genus * d for d in degrees), pos)
             return hodge_twist_by_genus(self.base, genus, weights)
         self.expect("[")
         factor, index = self.integer("factor index"), None

@@ -36,7 +36,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from ._data import json_int, load_json, read_json, require
+from ._data import json_bool, json_int, json_str, load_json, read_json, require
 from .errors import (
     BaseMismatch,
     DenominatorVanishes,
@@ -195,6 +195,16 @@ def problem_numeric_total(problem: LocalizationProblem, weights) -> Fraction:
 # schema
 # ---------------------------------------------------------------------------
 
+def _typed(raw: dict, key: str, read, default, where: str):
+    """The field ``key`` of a diagram entry through one of the ``_data``
+    readers of a JSON type; a value of another type is a SchemaError that
+    names the entry and the field."""
+    try:
+        return read(raw.get(key, default), key)
+    except TypeError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def _parse_factor(raw: dict, where: str):
     require(raw, dict, where, "a base factor")
     kind = raw.get("kind")
@@ -218,8 +228,9 @@ def _parse_term(raw: dict, where: str) -> LocusTerm:
     if not isinstance(factors, list) or not factors:
         raise SchemaError(f"{where}: missing or empty base")
     base = BaseSpace(tuple(_parse_factor(f, where) for f in factors))
+    text = _typed(raw, "multiplicity", json_str, "1", where)
     try:
-        mult = rat_from_str(str(raw.get("multiplicity", "1")))
+        mult = rat_from_str(text)
     except ValueError as exc:
         raise SchemaError(f"{where}: bad multiplicity ({exc})") from exc
     out = {}
@@ -266,7 +277,7 @@ def _parse_locus(raw: dict, where: str) -> FixedLocusSpec:
 
 def parse_problem(payload: dict, where: str) -> LocalizationProblem:
     require(payload, dict, where, "a diagram")
-    version = payload.get("schema_version", 1)
+    version = _typed(payload, "schema_version", json_int, 1, where)
     if version != 1:
         raise SchemaError(f"{where}: unsupported schema_version {version!r}")
     label = payload.get("label")
@@ -277,17 +288,21 @@ def parse_problem(payload: dict, where: str) -> LocalizationProblem:
     if not isinstance(raw_loci, list) or not raw_loci:
         raise SchemaError(f"{where}: a problem needs at least one locus")
     loci = tuple(sorted((_parse_locus(raw, where) for raw in raw_loci), key=lambda s: s.label))
+    text = _typed(payload, "symmetry_multiplier", json_str, "1", where)
     try:
-        mult = rat_from_str(str(payload.get("symmetry_multiplier", "1")))
+        mult = rat_from_str(text)
     except ValueError as exc:
         raise SchemaError(f"{where}: bad symmetry_multiplier ({exc})") from exc
+    weight_swap = _typed(payload, "weight_swap", json_bool, False, where)
     expected = payload.get("expected")
+    if expected is not None:
+        expected = rat_from_str(_typed(payload, "expected", json_str, None, where))
     return LocalizationProblem(
         label=label,
         loci=loci,
         symmetry_multiplier=mult,
-        weight_swap=bool(payload.get("weight_swap", False)),
-        expected=None if expected is None else rat_from_str(str(expected)),
+        weight_swap=weight_swap,
+        expected=expected,
         source=str(payload.get("source", "")),
     )
 

@@ -5,13 +5,23 @@ Deligne-Mumford factor, the hyperplane class x on each projective-line
 factor (x^2 = 0), and the target psi-class on each rubber factor.  Each
 factor declares its generators once, in ``gens``: exponent slots, degrees
 and labels come from there, and the parser looks identifiers up in it.
-Coefficients are :class:`EquivariantScalar`; the equivariant weights do not
-count toward the truncation degree.  A monomial is one flat tuple of
-exponents, the factors' slots in order.  Monomials are truncated per factor
-at the factor dimension: anything deeper can never integrate to a nonzero
-value, and degrees only grow under multiplication.  Products therefore pair
-terms by their degree on each factor: two groups of terms multiply only when
-their degrees add up to at most each factor's dimension.
+A monomial is one flat tuple of exponents, the factors' slots in order.
+Monomials are truncated per factor at the factor dimension: anything deeper
+can never integrate to a nonzero value, and degrees only grow under
+multiplication.
+
+Coefficients are equivariant scalars; the weights do not count toward the
+truncation degree.  A class stores them as integer numerator rows in
+t = a2/a1 over one denominator shared by all its terms, a positive integer
+times a form of content 1 (usually 1), and keeps its terms grouped by their
+degree on each factor.  So ``*`` multiplies two groups only when their
+degrees add up to at most each factor's dimension, adds integer row
+products per monomial and multiplies the two denominators, with no gcd and
+no canonical scalar per term.  A canonical :class:`EquivariantScalar` is
+formed only where a coefficient is read: :meth:`TautClass.scalar_part`,
+:attr:`TautClass.terms` and the value of :func:`tc_integrate`.  A sum of
+products of different weight degree raises :class:`Inhomogeneous` as the
+sequential sum of the canonical products would.
 
 Integration is factor-wise: Deligne-Mumford factors evaluate through the
 mixed psi/lambda oracle, rubber factors through the rubber table, and a
@@ -19,7 +29,8 @@ projective-line factor contributes the coefficient of x.  A DM or rubber
 factor that its oracle cannot integrate over is rejected when it is built.
 ``tc_integrate(a, b)`` pairs a product without forming its lower degrees:
 a top-degree term has every factor at its dimension, so each degree group of
-``a`` meets one group of ``b``.
+``a`` meets one group of ``b``.  The top rows are weighted by their
+integrals over one integer lcm and reduced once.
 :func:`mumford_product_check` reduces a product of two :func:`hodge_twist`
 factors with the lambda relations, so it checks the twist the diagrams use.
 """
@@ -30,8 +41,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
+from math import lcm
 from operator import add, le, mul, sub
-from typing import Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, Optional, Sequence
 
 from .errors import BaseMismatch, GenusOutOfRange, NonInvertible
 from .hodge import (
@@ -44,12 +57,26 @@ from .hodge import (
     rewrite_lambda,
     rubber_intersect,
 )
-from .scalars import ES_ONE, ES_ZERO, EquivariantScalar, Rational, power
+from .scalars import (
+    ES_ONE,
+    ES_ZERO,
+    EquivariantScalar,
+    Rational,
+    Row,
+    WeightPoly,
+    _radd,
+    _rmul,
+    _trim,
+    form_lcm,
+    inhomogeneous_sum,
+    poly_divexact,
+    power,
+)
 
 Mono = tuple[int, ...]
 Degrees = tuple[int, ...]  # a monomial's degree on each factor
-Terms = list[tuple[Mono, EquivariantScalar]]
-Pairs = dict[Mono, list[tuple[EquivariantScalar, EquivariantScalar]]]
+Group = dict[Mono, tuple[int, Row]]  # monomial -> (weight degree, integer row)
+Sums = dict[Mono, list]  # monomial -> running sum, as _pair keeps it
 Gen = tuple[str, Optional[int], int]
 
 
@@ -153,22 +180,21 @@ class RubberFactor(Factor):
 @dataclass(frozen=True)
 class BaseSpace:
     """A product of factors; ``spans`` holds the (start, stop) range of each
-    factor's exponent slots in a monomial."""
+    factor's exponent slots in a monomial, and ``dims`` each factor's
+    dimension."""
 
     factors: tuple[Factor, ...]
     spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    dims: Degrees = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ends = tuple(accumulate((len(f.gens) for f in self.factors), initial=0))
         object.__setattr__(self, "spans", tuple(zip(ends, ends[1:])))
+        object.__setattr__(self, "dims", tuple(f.dim for f in self.factors))
 
     @property
     def dim(self) -> int:
-        return sum(f.dim for f in self.factors)
-
-    @property
-    def dims(self) -> Degrees:
-        return tuple(f.dim for f in self.factors)
+        return sum(self.dims)
 
     def zero_mono(self) -> Mono:
         return (0,) * sum(len(f.gens) for f in self.factors)
@@ -177,25 +203,46 @@ class BaseSpace:
         return " x ".join(str(f) for f in self.factors) if self.factors else "pt"
 
 
-class TautClass:
-    """A truncated polynomial in the tautological generators over a base."""
+_ONE_FORM = ES_ONE.den  # the form 1, the denominator of a class without one
 
-    __slots__ = ("base", "terms")
+
+class TautClass:
+    """A truncated polynomial in the tautological generators over a base.
+
+    Every term shares one denominator ``q * den``: a positive integer and a
+    form of content 1, usually 1.  ``groups`` maps a monomial's degrees on
+    the factors to the monomials of those degrees, and each monomial to its
+    numerator form as (weight degree d, integer row in t = a2/a1), so its
+    coefficient is ``a1^d row(t) / (q * den)``.  Instances are treated as
+    immutable.
+    """
+
+    __slots__ = ("base", "groups", "q", "den")
 
     def __init__(self, base: BaseSpace, terms: dict[Mono, EquivariantScalar] | None = None):
-        self.base = base
-        self.terms: dict[Mono, EquivariantScalar] = {}
-        if terms:
-            for m, c in terms.items():
-                if not c.is_zero():
-                    self.terms[m] = c
+        self.base, self.groups, self.den = base, {}, _ONE_FORM
+        nonzero = [(m, c) for m, c in (terms or {}).items() if not c.is_zero()]
+        for _, c in nonzero:
+            self.den = form_lcm(self.den, c.den)
+        self.q = lcm(*(c.num.c.denominator for _, c in nonzero))
+        for m, c in nonzero:
+            k = c.num.c.numerator * (self.q // c.num.c.denominator)
+            row = tuple(k * x for x in c.num.row)
+            if c.den != self.den:
+                row = _rmul(row, poly_divexact(self.den, c.den).row)
+            coeff = (c.num.d + self.den.d - c.den.d, row)
+            self.groups.setdefault(_mono_degrees(base, m), {})[m] = coeff
 
     # -- constructors --------------------------------------------------------
     @classmethod
     def scalar(cls, base: BaseSpace, c: EquivariantScalar | Rational | int) -> "TautClass":
         if not isinstance(c, EquivariantScalar):
             c = EquivariantScalar.from_rational(Fraction(c))
-        return cls(base, {base.zero_mono(): c})
+        if c.is_zero():
+            return cls(base)
+        k, row = c.num.c.numerator, c.num.row
+        group = {base.zero_mono(): (c.num.d, tuple(k * x for x in row))}
+        return _make(base, {(0,) * len(base.factors): group}, c.num.c.denominator, c.den)
 
     @classmethod
     def one(cls, base: BaseSpace) -> "TautClass":
@@ -219,42 +266,75 @@ class TautClass:
             return cls(base)
         return cls(base, {m: ES_ONE})
 
-    # -- structure -----------------------------------------------------------
+    # -- reading coefficients -------------------------------------------------
+    @property
+    def terms(self) -> Mapping[Mono, EquivariantScalar]:
+        """Each monomial's coefficient, as a canonical scalar (read-only)."""
+        return MappingProxyType({
+            m: EquivariantScalar.from_row(d, row, self.q, self.den)
+            for group in self.groups.values()
+            for m, (d, row) in group.items()
+        })
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.groups
 
     def scalar_part(self) -> EquivariantScalar:
-        return self.terms.get(self.base.zero_mono(), ES_ZERO)
+        group = self.groups.get((0,) * len(self.base.factors))
+        if not group:
+            return ES_ZERO
+        ((d, row),) = group.values()
+        return EquivariantScalar.from_row(d, row, self.q, self.den)
 
     def degree_parts(self) -> dict[int, "TautClass"]:
-        out: dict[int, TautClass] = {}
-        for m, c in self.terms.items():
-            d = _mono_degree(self.base, m)
-            out.setdefault(d, TautClass(self.base)).terms[m] = c
-        return out
+        parts: dict[int, dict[Degrees, Group]] = {}
+        for degrees, group in self.groups.items():
+            parts.setdefault(sum(degrees), {})[degrees] = group
+        return {k: _make(self.base, groups, self.q, self.den) for k, groups in parts.items()}
+
+    def weight_degrees(self) -> tuple[int, int]:
+        """The largest weight degree of a numerator form, and the weight
+        degree of the shared denominator."""
+        top = max((d for group in self.groups.values() for d, _ in group.values()), default=0)
+        return top, self.den.d
 
     # -- arithmetic -----------------------------------------------------------
     def _require_same_base(self, other: "TautClass") -> None:
         if self.base != other.base:
             raise BaseMismatch(f"bases differ: {self.base} vs {other.base}")
 
+    def _over(self, q: int, den: WeightPoly) -> dict[Degrees, Group]:
+        """The groups over the denominator ``q * den``, a multiple of the
+        class's own."""
+        k = q // self.q
+        if k == 1 and (den is self.den or den == self.den):
+            return self.groups
+        cofactor = tuple(k * x for x in poly_divexact(den, self.den).row)
+        return _times_rows(self.groups, cofactor, den.d - self.den.d)
+
     def __add__(self, other: "TautClass") -> "TautClass":
         self._require_same_base(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m, ES_ZERO) + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        res = TautClass(self.base)
-        res.terms = out
-        return res
+        q, den = lcm(self.q, other.q), form_lcm(self.den, other.den)
+        groups = {degrees: dict(group) for degrees, group in self._over(q, den).items()}
+        for degrees, group in other._over(q, den).items():
+            mine = groups.setdefault(degrees, {})
+            for m, (d, row) in group.items():
+                have = mine.get(m)
+                if have is None:
+                    mine[m] = (d, row)
+                elif have[0] != d:
+                    raise inhomogeneous_sum(
+                        EquivariantScalar.from_row(*have, q, den),
+                        EquivariantScalar.from_row(d, row, q, den),
+                    )
+                elif total := _radd(have[1], row):
+                    mine[m] = (d, total)
+                else:
+                    del mine[m]
+        return _make(self.base, {ds: group for ds, group in groups.items() if group}, q, den)
 
     def __neg__(self) -> "TautClass":
-        res = TautClass(self.base)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return _make(self.base, _times_rows(self.groups, (-1,), 0), self.q, self.den)
 
     def __sub__(self, other: "TautClass") -> "TautClass":
         return self + (-other)
@@ -262,27 +342,22 @@ class TautClass:
     def scale(self, c: EquivariantScalar | Rational | int) -> "TautClass":
         if not isinstance(c, EquivariantScalar):
             c = EquivariantScalar.from_rational(Fraction(c))
-        res = TautClass(self.base)
         if c.is_zero():
-            return res
-        res.terms = {m: k * c for m, k in self.terms.items()}
-        return res
+            return TautClass(self.base)
+        k, factor = c.num.c, c.num.row
+        groups = _times_rows(self.groups, tuple(k.numerator * x for x in factor), c.num.d)
+        return _make(self.base, groups, self.q * k.denominator, self.den * c.den)
 
     def __mul__(self, other: "TautClass") -> "TautClass":
         self._require_same_base(other)
         dims = self.base.dims
-        right = _by_degrees(other)
-        pairs: Pairs = {}
-        for d1, terms1 in _by_degrees(self).items():
-            for d2, terms2 in right.items():
-                if all(map(le, map(add, d1, d2), dims)):
-                    _pair(pairs, terms1, terms2)
-        res = TautClass(self.base)
-        for m, ps in pairs.items():
-            s = EquivariantScalar.dot(ps)
-            if not s.is_zero():
-                res.terms[m] = s
-        return res
+        sums: Sums = {}
+        for d1, group1 in self.groups.items():
+            for d2, group2 in other.groups.items():
+                degrees = tuple(map(add, d1, d2))
+                if all(map(le, degrees, dims)):
+                    _pair(sums, group1, group2, degrees)
+        return _settle(self.base, sums, self.q * other.q, self.den * other.den)
 
     def __pow__(self, k: int) -> "TautClass":
         if k < 0:
@@ -297,30 +372,86 @@ class TautClass:
         )
 
     def __str__(self) -> str:
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        bits = []
-        for m in sorted(self.terms, key=lambda m: (_mono_degree(self.base, m), m)):
-            bits.append(f"({self.terms[m]})*{_mono_str(self.base, m)}")
-        return " + ".join(bits)
+        degree = {m: sum(ds) for ds, group in self.groups.items() for m in group}
+        return " + ".join(
+            f"({terms[m]})*{_mono_str(self.base, m)}"
+            for m in sorted(terms, key=lambda m: (degree[m], m))
+        )
 
     __repr__ = __str__
 
 
-def _by_degrees(a: TautClass) -> dict[Degrees, Terms]:
-    """The terms of ``a`` grouped by their degree on each factor."""
-    groups: dict[Degrees, Terms] = {}
-    for m, c in a.terms.items():
-        groups.setdefault(_mono_degrees(a.base, m), []).append((m, c))
-    return groups
+def _make(base: BaseSpace, groups: dict[Degrees, Group], q: int, den: WeightPoly) -> TautClass:
+    res = TautClass.__new__(TautClass)
+    res.base, res.groups, res.q, res.den = base, groups, q, den
+    return res
 
 
-def _pair(pairs: Pairs, terms1: Terms, terms2: Terms) -> None:
-    """Add the coefficient pair of every product of two terms to ``pairs``,
-    under the product's monomial."""
-    for m1, c1 in terms1:
-        for m2, c2 in terms2:
-            pairs.setdefault(tuple(map(add, m1, m2)), []).append((c1, c2))
+def _times_rows(groups: dict[Degrees, Group], factor: Row, shift: int) -> dict[Degrees, Group]:
+    """Every numerator row times the integer row ``factor``, of weight
+    degree ``shift``."""
+    return {
+        degrees: {m: (d + shift, _rmul(row, factor)) for m, (d, row) in group.items()}
+        for degrees, group in groups.items()
+    }
+
+
+def _pair(sums: Sums, group1: Group, group2: Group, degrees: Degrees) -> None:
+    """Add the product of every term of group1 with every term of group2,
+    all of the given degrees, to its monomial's running sum in ``sums``.
+
+    A running sum is [weight degree, row as a list, degrees], added to in
+    the order of the terms, as the sequential sum of the coefficient
+    products is.  When a product of another weight degree meets a nonzero
+    sum, that sum would raise :class:`Inhomogeneous`: the entry becomes
+    [None, row, degrees, its weight degree, the product], and
+    :func:`_settle` raises.
+    """
+    for m1, (d1, row1) in group1.items():
+        for m2, (d2, row2) in group2.items():
+            m = tuple(map(add, m1, m2))
+            d = d1 + d2
+            size = len(row1) + len(row2) - 1
+            have = sums.get(m)
+            if have is None:
+                sums[m] = have = [d, [0] * size, degrees]
+            elif have[0] != d:
+                if have[0] is None:
+                    continue  # the sum has raised already
+                if any(have[1]):
+                    have[:] = [None, have[1], degrees, have[0], (d, _rmul(row1, row2))]
+                    continue
+                have[0], have[1] = d, [0] * size  # a cancelled sum takes the new degree
+            acc = have[1]
+            if size == 1:  # two numerators a1^d1 and a1^d2, up to their integer factors
+                acc[0] += row1[0] * row2[0]
+                continue
+            if len(acc) < size:
+                acc += [0] * (size - len(acc))
+            for i, x in enumerate(row1):
+                if x:
+                    for j, y in enumerate(row2, i):
+                        acc[j] += x * y
+
+
+def _settle(base: BaseSpace, sums: Sums, q: int, den: WeightPoly) -> TautClass:
+    """The class of the running sums over ``q * den``, in the order their
+    monomials first appeared; the first sum that met another weight degree
+    raises :class:`Inhomogeneous` as the sequential sum does."""
+    groups: dict[Degrees, Group] = {}
+    for m, (d, row, degrees, *clash) in sums.items():
+        if d is None:
+            raise inhomogeneous_sum(
+                EquivariantScalar.from_row(clash[0], row, q, den),
+                EquivariantScalar.from_row(*clash[1], q, den),
+            )
+        row = _trim(row)
+        if row:
+            groups.setdefault(degrees, {})[m] = (d, row)
+    return _make(base, groups, q, den)
 
 
 def _mono_degrees(base: BaseSpace, m: Mono) -> Degrees:
@@ -329,10 +460,6 @@ def _mono_degrees(base: BaseSpace, m: Mono) -> Degrees:
 
 def _mono_ok(base: BaseSpace, m: Mono) -> bool:
     return all(map(le, _mono_degrees(base, m), base.dims))
-
-
-def _mono_degree(base: BaseSpace, m: Mono) -> int:
-    return sum(_mono_degrees(base, m))
 
 
 def _label(name: str, factor: int, index: Optional[int]) -> str:
@@ -354,22 +481,18 @@ def _mono_str(base: BaseSpace, m: Mono) -> str:
 # ---------------------------------------------------------------------------
 
 def tc_invert(a: TautClass) -> TautClass:
-    """Geometric-series inverse, truncated at the base dimension."""
+    """The inverse, truncated at the base dimension K.  Write a = a0 - N
+    with a0 its scalar part; then 1/a = (sum_k N^k a0^(K-k)) / a0^(K+1),
+    with the sum built by Horner in N and divided once."""
     a0 = a.scalar_part()
     if a0.is_zero():
         raise NonInvertible("class has no invertible degree-0 part")
-    inv0 = a0.inverse()
-    nilpotent = a - TautClass.scalar(a.base, a0)
-    out = TautClass.scalar(a.base, inv0)
-    power = TautClass.one(a.base)
-    coeff = inv0
+    nilpotent = TautClass.scalar(a.base, a0) - a
+    series, a0_power = TautClass.one(a.base), ES_ONE
     for _ in range(a.base.dim):
-        power = power * nilpotent
-        if power.is_zero():
-            break
-        coeff = -coeff * inv0  # (-1)^k inv0^(k+1)
-        out = out + power.scale(coeff)
-    return out
+        a0_power = a0_power * a0
+        series = series * nilpotent + TautClass.scalar(a.base, a0_power)
+    return series.scale((a0_power * a0).inverse())
 
 
 def tc_integrate(a: TautClass, b: Optional[TautClass] = None) -> EquivariantScalar:
@@ -377,31 +500,46 @@ def tc_integrate(a: TautClass, b: Optional[TautClass] = None) -> EquivariantScal
     factor by factor.
 
     With ``b`` given, only the products of ``a * b`` that land in top
-    degree are formed, each coefficient by one :meth:`EquivariantScalar.dot`
-    as ``*`` forms it, so the value is ``tc_integrate(a * b)``.
+    degree are formed: each degree group of ``a`` meets one group of ``b``.
+    Each top row is weighted by its integral over one integer lcm of the
+    integrals' denominators, and the sum is reduced once.
     """
     base, dims = a.base, a.base.dims
     if b is None:
-        top = {m: c for m, c in a.terms.items() if _mono_degrees(base, m) == dims}
+        top, q, den = a.groups.get(dims, {}), a.q, a.den
     else:
         a._require_same_base(b)
-        right = _by_degrees(b)
-        pairs: Pairs = {}
-        for d, terms in _by_degrees(a).items():
-            partner = right.get(tuple(map(sub, dims, d)))
+        sums: Sums = {}
+        for degrees, group in a.groups.items():
+            partner = b.groups.get(tuple(map(sub, dims, degrees)))
             if partner:
-                _pair(pairs, terms, partner)
-        top = {m: EquivariantScalar.dot(ps) for m, ps in pairs.items()}
-    total = ES_ZERO
-    for m in sorted(m for m, c in top.items() if not c.is_zero()):
+                _pair(sums, group, partner, dims)
+        q, den = a.q * b.q, a.den * b.den
+        top = _settle(base, sums, q, den).groups.get(dims, {})
+    d, acc, over = 0, [0], 1  # the running sum: a1^d acc(t) / (q * over * den)
+    for m in sorted(top):
         val = Fraction(1)
         for f, (s, t) in zip(base.factors, base.spans):
             val *= f.integral(m[s:t])
             if val == 0:
                 break
-        if val != 0:
-            total = total + top[m].scale(val)
-    return total
+        if val == 0:
+            continue
+        e, row = top[m]
+        if e != d:
+            if any(acc):
+                raise inhomogeneous_sum(
+                    EquivariantScalar.from_row(d, acc, q * over, den),
+                    EquivariantScalar.from_row(e, row, q, den).scale(val),
+                )
+            d, acc = e, [0] * (e + 1)
+        if over % val.denominator:
+            k = lcm(over, val.denominator) // over
+            acc, over = [k * x for x in acc], over * k
+        k = val.numerator * (over // val.denominator)
+        for i, x in enumerate(row):
+            acc[i] += k * x
+    return EquivariantScalar.from_row(d, acc, q * over, den)
 
 
 def hodge_twist(

@@ -243,6 +243,10 @@ class WeightPoly:
     def __mul__(self, other: "WeightPoly") -> "WeightPoly":
         if not self.row or not other.row:
             return _ZERO_FORM
+        if other is _ONE_POLY:  # the denominator of most scalars and classes
+            return self
+        if self is _ONE_POLY:
+            return other
         # Gauss's lemma: the product of primitive rows with positive leads is one
         if self.c is _ONE:
             c = other.c
@@ -379,6 +383,16 @@ def poly_gcd(p: WeightPoly, q: WeightPoly) -> WeightPoly:
     return _form(min(ip, iq) + j + len(g) - 1, _ONE, (0,) * j + g)
 
 
+def form_lcm(p: WeightPoly, q: WeightPoly) -> WeightPoly:
+    """The lcm of two forms of content 1; it takes a gcd only when both have
+    positive degree and differ."""
+    if not q.d or p == q:
+        return p
+    if not p.d:
+        return q
+    return p * poly_divexact(q, poly_gcd(p, q))
+
+
 def poly_divexact(p: WeightPoly, g: WeightPoly) -> WeightPoly:
     """Exact division p/g of forms; raises if g does not divide p."""
     if not g.row:
@@ -445,6 +459,15 @@ class EquivariantScalar:
     def weight(cls, i: int) -> "EquivariantScalar":
         return cls(WeightPoly.gen(i))
 
+    @classmethod
+    def from_row(
+        cls, d: int, row: Sequence[int], q: int = 1, den: WeightPoly = _ONE_POLY
+    ) -> "EquivariantScalar":
+        """The canonical ``a1^d row(a2/a1) / (q * den)``, for an integer row,
+        a positive integer q and a form den of content 1."""
+        num = _canon(d, row, q)
+        return cls(num, den) if den.d and num.row else cls(num)
+
     # -- predicates -------------------------------------------------------------
     def is_zero(self) -> bool:
         return self.num.is_zero()
@@ -469,10 +492,7 @@ class EquivariantScalar:
                 self.num * other.den + other.num * self.den, self.den * other.den
             )
         except Inhomogeneous:
-            raise Inhomogeneous(
-                f"cannot add scalars of degree {self.degree()} and {other.degree()}: "
-                f"{self} and {other}"
-            ) from None
+            raise inhomogeneous_sum(self, other) from None
 
     def __neg__(self) -> "EquivariantScalar":
         res = EquivariantScalar.__new__(EquivariantScalar)
@@ -492,71 +512,6 @@ class EquivariantScalar:
         if c is not None:
             return other.scale(c)
         return EquivariantScalar(self.num * other.num, self.den * other.den)
-
-    @staticmethod
-    def dot(
-        pairs: Sequence[tuple["EquivariantScalar", "EquivariantScalar"]]
-    ) -> "EquivariantScalar":
-        """``sum(a * b for a, b in pairs)``, reduced once.
-
-        Each raw product ``a.num * b.num / (a.den * b.den)`` is kept as an
-        integer content ``p/q`` and an integer row, grouped by its raw
-        denominator, a form of content 1.  The groups are put over the lcm
-        of their raw denominators, all rows are added over one integer
-        denominator, and only that one sum is brought to canonical form:
-        k distinct raw denominators cost at most k gcds, and a denominator
-        of 1 costs none.  Products of mixed degree are added one at a time
-        instead, so that they raise, or cancel, exactly as that sum does.
-        """
-        # keyed on (degree, row): a content-1 form is its row, and a tuple
-        # of ints hashes faster than the Fraction content
-        groups: dict[tuple[int, Row], list[tuple[int, int, Row]]] = {}
-        degrees = set()
-        q = 1  # the lcm of the contents' denominators
-        for a, b in pairs:
-            x, y = a.num, b.num
-            if x.row and y.row:
-                den = b.den if not a.den.d else a.den if not b.den.d else a.den * b.den
-                cx, cy = x.c, y.c
-                r = cx.denominator * cy.denominator
-                if r != 1:
-                    q = _int_lcm(q, r)
-                groups.setdefault((den.d, den.row), []).append(
-                    (cx.numerator * cy.numerator, r, _rmul(x.row, y.row))
-                )
-                degrees.add(x.d + y.d - den.d)
-        if len(degrees) > 1:
-            total = ES_ZERO
-            for a, b in pairs:
-                total = total + a * b
-            return total
-        if not groups:
-            return ES_ZERO
-        lcm = _ONE_POLY
-        for e, row in groups:
-            if e:
-                den = _form(e, _ONE, row)
-                lcm = lcm * poly_divexact(den, poly_gcd(lcm, den)) if lcm.d else den
-        d = degrees.pop()
-        acc = [0] * (d + lcm.d + 1)
-        for (e, den_row), terms in groups.items():
-            # a group over the lcm adds straight into the sum
-            part = acc if e == lcm.d else [0] * (d + e + 1)
-            for p, r, row in terms:
-                k = p * (q // r)
-                for i, x in enumerate(row):
-                    if x:
-                        part[i] += k * x
-            if part is not acc:
-                cofactor = poly_divexact(lcm, _form(e, _ONE, den_row)).row
-                for i, x in enumerate(_rmul(part, cofactor)):
-                    acc[i] += x
-        num = _canon(d + lcm.d, acc, q)
-        if lcm.d and num.row:
-            return EquivariantScalar(num, lcm)
-        res = EquivariantScalar.__new__(EquivariantScalar)
-        res.num, res.den = num, _ONE_POLY
-        return res
 
     def __truediv__(self, other: "EquivariantScalar") -> "EquivariantScalar":
         if other.is_zero():
@@ -614,6 +569,14 @@ class EquivariantScalar:
 
 ES_ZERO = EquivariantScalar.from_rational(0)
 ES_ONE = EquivariantScalar.from_rational(1)
+
+
+def inhomogeneous_sum(x: EquivariantScalar, y: EquivariantScalar) -> Inhomogeneous:
+    """The error that adding the nonzero scalars x and y of different
+    degrees raises."""
+    return Inhomogeneous(
+        f"cannot add scalars of degree {x.degree()} and {y.degree()}: {x} and {y}"
+    )
 
 
 # Spec-facing helpers -------------------------------------------------------

@@ -264,6 +264,11 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
     nested_power = _point_diagram(
         tmp_path / "nested_power", "1", "1", insertion="((a1+a2)^64)^64"
     )
+    (tmp_path / "product").mkdir()
+    # fifty bounded powers (649 characters) would multiply to degree 3,200
+    product = _point_diagram(
+        tmp_path / "product", "1", "1", insertion="*".join(["(a1+2*a2)^64"] * 50)
+    )
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     # entries that are not JSON objects, terms that is not a list, or labels
@@ -301,6 +306,19 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         path = tmp_path / f"not_object{i}.json"
         path.write_text(json.dumps(payload))
         not_objects[str(path)] = f"{path}{message}"
+    # diagram fields of another JSON type, in copies of fig7.json
+    fig7 = json.loads((Path(hodge.__file__).parent / "data" / "diagrams" / "fig7.json").read_text())
+    loose = {}
+    for i, (field, value, message) in enumerate((
+        ("weight_swap", "false", "weight_swap must be a boolean, not a string"),
+        ("schema_version", True, "schema_version must be an integer, not a boolean"),
+        ("schema_version", 1.0, "schema_version must be an integer, not 1.0"),
+        ("symmetry_multiplier", 0.5, "symmetry_multiplier must be a string, not 0.5"),
+        ("expected", 1.0, "expected must be a string, not 1.0"),
+    )):
+        path = tmp_path / f"loose{i}.json"
+        path.write_text(json.dumps({**fig7, field: value}))
+        loose[str(path)] = f"{path}: {message}"
     # factors whose integrals the oracles reject fail on load, naming the locus
     bad_factors = []
     for i, (factor, insertion, deformation) in enumerate((
@@ -333,6 +351,8 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         ("localize", "--config", str(deep)),
         ("localize", "--config", power),
         ("localize", "--config", nested_power),
+        ("localize", "--config", product),
+        *(("localize", "--config", path) for path in loose),
         *(("localize", "--config", path) for path in bad_factors),
         *(("localize", "--config", path) for path in not_objects),
         ("localize", "--config", nested),
@@ -344,6 +364,11 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
             assert "locus 'pt': bad factor" in err and time.perf_counter() - start < 1, err
         if argv[-1] in not_objects:
             assert err == f"error: {not_objects[argv[-1]]}\n", err
+        if argv[-1] in loose:
+            assert err == f"error: {loose[argv[-1]]}\n", err
+        if argv[-1] == product:
+            assert "locus 'pt': bad insertion expression: weight degree 128 at position 12" in err
+            assert time.perf_counter() - start < 1, err
         if argv[-1] == nested_power:
             assert "locus 'pt': bad insertion expression: nested exponents multiply to 4096" in err
     assert "locus 'pt': bad insertion expression: expression nested too deeply" in err

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from gwverify.errors import BaseMismatch, NonInvertible, ParseError
+from hypothesis import given, settings, strategies as st
+
+from gwverify.errors import BaseMismatch, Inhomogeneous, NonInvertible, ParseError, UnknownMonomial
 from gwverify.exprs import parse_class, parse_scalar
 from gwverify.ring import (
     BaseSpace,
@@ -13,11 +15,14 @@ from gwverify.ring import (
     RubberFactor,
     TautClass,
     _label,
+    _mono_ok,
     hodge_twist_by_genus,
     tc_integrate,
     tc_invert,
 )
-from gwverify.scalars import ES_ONE, EquivariantScalar
+from gwverify.scalars import ES_ONE, ES_ZERO, EquivariantScalar, WeightPoly
+from test_scalars import _assert_canonical, _random_form
+from test_scalars import _random_scalar as _random_ratio
 
 A1 = EquivariantScalar.weight(1)
 A2 = EquivariantScalar.weight(2)
@@ -296,6 +301,32 @@ def test_nested_powers_are_bounded_by_their_product():
         parse_scalar("-(-a1^8)^9")
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(a1+a2)^60*a1^5", "weight degree 65 at position 10"),
+        ("(a1*a1*a1)^22", "weight degree 66 at position 10"),
+        ("1/a1^40/a2^40", "weight degree 80 at position 7"),
+        ("1/a1^40 + 1/a2^40", "weight degree 80 at position 7"),
+        ("hodgetwist(3; (a1+a2)^22)", "weight degree 66 at position 0"),
+        # a base without the twist's factor fails on that first
+        ("hodgetwist(2; (a1+a2)^40)", "needs exactly one genus-2 factor"),
+        # the exponent checks come first, and a degree-0 power has no bound
+        ("(2^64)^64", "nested exponents multiply to 4096"),
+        ("2^64*3^64*a1^64", None),
+        ("(a1+a2)^60*a1^4", None),
+        ("hodgetwist(3; (a1+a2)^21)", None),
+    ],
+)
+def test_weight_degree_is_bounded(text, message):
+    base = BaseSpace((DMFactor(3, 1),))
+    if message is None:
+        assert max(parse_class(text, base).weight_degrees()) <= 64
+        return
+    with pytest.raises((ParseError, BaseMismatch), match=message):
+        parse_class(text, base)
+
+
 EVERY_KIND = BaseSpace((DMFactor(2, 2), ProjLineFactor(), PointFactor(), RubberFactor(1)))
 
 
@@ -343,3 +374,232 @@ def test_generator_labels_and_errors_on_every_factor_kind(text, expected):
     with pytest.raises(error) as exc:
         parse_class(text, EVERY_KIND)
     assert type(exc.value) is error and str(exc.value) == message
+
+
+# -- a coefficient of a product is one sum of products -------------------------
+
+def _sum_of_products(pairs):
+    """sum(a * b for a, b in pairs) through ``*``: pair i sits on
+    psi[0,1]^i psi[1,1]^(k-i) of one class and psi[0,1]^(k-i) psi[1,1]^i of
+    the other, over two genus-0 factors of dimension k = len(pairs) - 1.
+    Every other product of two terms lies above a factor's dimension, so
+    only the pairs meet, at psi[0,1]^k psi[1,1]^k, in their order."""
+    k = max(len(pairs) - 1, 0)
+    base = BaseSpace((DMFactor(0, k + 3), DMFactor(0, k + 3)))
+    psi = TautClass.generator(base, 0, "psi", 1)
+    psi_ = TautClass.generator(base, 1, "psi", 1)
+    a, b = TautClass(base), TautClass(base)
+    for i, (x, y) in enumerate(pairs):
+        a = a + (psi ** i * psi_ ** (k - i)).scale(x)
+        b = b + (psi ** (k - i) * psi_ ** i).scale(y)
+    product = a * b
+    top = _mono(psi ** k * psi_ ** k)
+    assert set(product.terms) <= {top}
+    return product.terms.get(top, ES_ZERO)
+
+
+def _mono(cls):
+    """The monomial of a class with one term."""
+    (m,) = cls.terms
+    return m
+
+
+def _sequential(pairs):
+    total = ES_ZERO
+    for a, b in pairs:
+        total = total + a * b
+    return total
+
+
+def test_product_coefficient_is_the_sum_of_products():
+    rng = random.Random(41)
+    for _ in range(60):
+        degree = rng.randint(-1, 1)
+        pairs = []
+        for _ in range(rng.randint(0, 5)):
+            d1 = rng.randint(-1, 1)
+            pairs.append((_random_ratio(rng, d1), _random_ratio(rng, degree - d1)))
+        if pairs and rng.random() < 0.3:
+            a, b = pairs[0]
+            pairs.append((-a, b))  # cancels the first product
+        assert _assert_canonical(_sum_of_products(pairs)) == _sequential(pairs)
+    # raw denominators that share a factor, so their lcm is not their product
+    s, d = A1 + A2, A1 - A2
+    const = EquivariantScalar.from_rational
+    shared = [
+        [(A1 / (s * d), A2), (A2 / s, ES_ONE)],
+        [(A1 / s, A2 / d), (ES_ONE / s, A1), (A2 / (s * d), s), (ES_ONE, A2 * A2 / (s * s))],
+        [(A1 / (s * s), A1 / d), (A2 / (s * d), A1 / d), (const(3), A1 * A1 / (s * s * d))],
+    ]
+    # and sums that cancel to 0 across different raw denominators
+    cancelling = [
+        [(ES_ONE / A1, ES_ONE / A2), (-ES_ONE / (A1 * A1), A1 / A2)],
+        [(ES_ONE / s, ES_ONE / d), (-A1 / (s * d), ES_ONE / A1)],
+        [
+            (A2 / (s * d), ES_ONE), (-A2 / s, ES_ONE / d),
+            (A1 / (s * s), const(Fraction(1, 2))), (-A1 / (s * A2), A2 / s.scale(2)),
+        ],
+    ]
+    for pairs in shared + cancelling:
+        expected = _sequential(pairs)
+        assert _assert_canonical(_sum_of_products(pairs)) == expected
+        assert expected.is_zero() == (pairs in cancelling)
+    # mixed degrees add one product at a time, as + does: a sum that has
+    # cancelled takes the next degree, and one that has not raises
+    assert _sum_of_products([(A1, ES_ONE), (-A1, ES_ONE), (ES_ONE, ES_ONE)]) == ES_ONE
+    with pytest.raises(Inhomogeneous, match="degree 1 and 0"):
+        _sum_of_products([(A1, ES_ONE), (ES_ONE, ES_ONE)])
+
+
+def _count_gcds(monkeypatch):
+    from gwverify import scalars
+
+    calls = []
+    original = scalars.poly_gcd
+    monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: calls.append(1) or original(p, q))
+    return calls
+
+
+def test_polynomial_coefficients_take_no_gcd(monkeypatch):
+    rng = random.Random(47)
+    gcds = _count_gcds(monkeypatch)
+
+    def polynomial(degree):
+        return EquivariantScalar(_random_form(rng, degree))
+
+    for _ in range(40):
+        degree = rng.randint(0, 4)
+        pairs = []
+        for _ in range(rng.randint(1, 6)):
+            d1 = rng.randint(0, degree)
+            pairs.append((polynomial(d1), polynomial(degree - d1)))
+        assert _assert_canonical(_sum_of_products(pairs)) == _sequential(pairs)
+        # a sum that cancels is the canonical 0/1
+        a, b = pairs[0]
+        zero = _sum_of_products([(a, b), (-a, b)])
+        assert _assert_canonical(zero).is_zero() and zero == ES_ZERO
+    assert not gcds  # a denominator of 1 takes no gcd in *, + or scale
+    # mixed degrees raise as the sequential sum does
+    pairs = [(A1, A1 + A2), (A2, ES_ONE), (A1, A2)]
+    with pytest.raises(Inhomogeneous) as sequential:
+        _sequential(pairs)
+    with pytest.raises(Inhomogeneous) as grouped:
+        _sum_of_products(pairs)
+    assert str(grouped.value) == str(sequential.value)
+
+
+def test_mixed_raw_denominators_reduce_once(monkeypatch):
+    # the unit-inverse shape: the raw denominators a1^2, a1^3 and a1^4
+    pairs = [
+        (A2 / A1, (A1 + A2) / A1),
+        (A2.scale(3) / A1, A2 * A2 / (A1 * A1)),
+        (A2 * A2.scale(-2) / (A1 * A1), A2 * A2 / (A1 * A1)),
+    ]
+    assert {(a.den * b.den).degree() for a, b in pairs} == {2, 3, 4}
+    base = BaseSpace((DMFactor(0, 5), DMFactor(0, 5)))
+    psi = TautClass.generator(base, 0, "psi", 1)
+    psi_ = TautClass.generator(base, 1, "psi", 1)
+    a = TautClass(base, {_mono(psi ** i * psi_ ** (2 - i)): x for i, (x, _) in enumerate(pairs)})
+    b = TautClass(base, {_mono(psi ** (2 - i) * psi_ ** i): y for i, (_, y) in enumerate(pairs)})
+    gcds = _count_gcds(monkeypatch)
+    product = a * b
+    assert not gcds  # the product multiplies the two class denominators
+    (coefficient,) = product.terms.values()
+    assert len(gcds) == 1  # and reading the one coefficient reduces it once
+    paired = tc_integrate(a, b)
+    assert len(gcds) == 2  # as one pairing does
+    monkeypatch.undo()
+    assert _assert_canonical(coefficient) == _sequential(pairs)
+    assert paired == tc_integrate(product)
+
+
+def test_one_pairing_takes_at_most_one_gcd(monkeypatch):
+    base = BaseSpace((DMFactor(1, 1), ProjLineFactor()))
+    rng = random.Random(53)
+    gcds = _count_gcds(monkeypatch)
+    reduced = 0
+    for _ in range(40):
+        a, b = _random_class(rng, base), _random_class(rng, base)
+        del gcds[:]
+        tc_integrate(a, b)
+        assert len(gcds) <= 1
+        reduced += len(gcds)
+    assert reduced >= 10  # half the classes have denominators
+
+
+# -- the kernel's properties on drawn bases and classes --------------------------
+
+_DRAWN_FACTORS = [
+    DMFactor(0, 3), DMFactor(0, 5), DMFactor(1, 1), DMFactor(1, 2), DMFactor(2, 1),
+    ProjLineFactor(), RubberFactor(0, 3), RubberFactor(1), RubberFactor(2),
+]
+_LINEAR = [
+    WeightPoly({(1, 0): 1}), WeightPoly({(0, 1): 1}), WeightPoly({(1, 0): 1, (0, 1): 1}),
+    WeightPoly({(1, 0): 1, (0, 1): -1}), WeightPoly({(1, 0): 2, (0, 1): 3}),
+]
+
+
+@st.composite
+def _drawn_scalars(draw, degree):
+    """A scalar of the given weight degree over a product of linear forms;
+    the forms repeat, so the denominators of a class share factors."""
+    over = draw(st.integers(max(0, -degree), max(0, -degree) + 2))
+    num = WeightPoly({
+        (degree + over - k, k): Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+        for k in range(degree + over + 1)
+    })
+    den = WeightPoly.const(1)
+    for _ in range(over):
+        den = den * draw(st.sampled_from(_LINEAR))
+    return EquivariantScalar(num, den)
+
+
+@st.composite
+def _drawn_classes(draw, base, s):
+    """A few monomials m, each with a scalar of weight degree s - deg(m), so
+    that sums and products of the drawn classes are homogeneous."""
+    slots = len(base.zero_mono())
+    terms = {}
+    for _ in range(draw(st.integers(0, 4))):
+        mono = [0] * slots
+        for _ in range(draw(st.integers(0, base.dim))):
+            mono[draw(st.integers(0, slots - 1))] += 1
+        m = tuple(mono)
+        if _mono_ok(base, m):
+            degree = sum(f.degree(m[i:j]) for f, (i, j) in zip(base.factors, base.spans))
+            terms[m] = draw(_drawn_scalars(s - degree))
+    return TautClass(base, terms)
+
+
+def _integral(a, b=None):
+    try:
+        return tc_integrate(a, b)
+    except UnknownMonomial as exc:  # a genus-2 key the table lacks
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(st.data())
+def test_product_and_pairing_properties(data):
+    factors = data.draw(st.lists(st.sampled_from(_DRAWN_FACTORS), min_size=1, max_size=2))
+    base = BaseSpace(tuple(factors))
+    s = data.draw(st.integers(0, base.dim))
+    a, b, c = (data.draw(_drawn_classes(base, s)) for _ in range(3))
+    product = a * b
+    expected = {}  # the termwise reference
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if _mono_ok(base, m):
+                expected[m] = expected.get(m, ES_ZERO) + c1 * c2
+    assert product.terms == {m: c for m, c in expected.items() if not c.is_zero()}
+    assert product == b * a
+    assert product * c == a * (b * c)
+    assert a * (b + c) == product + a * c
+    x = data.draw(_drawn_scalars(data.draw(st.integers(-1, 1))))
+    assert a.scale(x).terms == {m: c * x for m, c in a.terms.items() if not x.is_zero()}
+    assert a.scale(x) * b == product.scale(x)
+    assert _integral(a, b) == _integral(product)
+    for cls in (a, b, c, product, b + c, a.scale(x)):
+        for coefficient in cls.terms.values():
+            _assert_canonical(coefficient)

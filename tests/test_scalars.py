@@ -356,107 +356,6 @@ def test_scalar_arithmetic_stays_canonical():
         assert hash(a * ES_ONE) == hash(a)
 
 
-def test_dot_is_the_sum_of_products():
-    rng = random.Random(41)
-    for _ in range(60):
-        degree = rng.randint(-1, 1)
-        pairs = []
-        for _ in range(rng.randint(0, 5)):
-            d1 = rng.randint(-1, 1)
-            pairs.append((_random_scalar(rng, d1), _random_scalar(rng, degree - d1)))
-        if pairs and rng.random() < 0.3:
-            a, b = pairs[0]
-            pairs.append((-a, b))  # cancels the first product
-        expected = ES_ZERO
-        for a, b in pairs:
-            expected = expected + a * b
-        assert _assert_canonical(EquivariantScalar.dot(pairs)) == expected
-    # raw denominators that share a factor, so their lcm is not their product
-    s, d = A1 + A2, A1 - A2
-    shared = [
-        [(A1 / (s * d), A2), (A2 / s, ES_ONE)],
-        [(A1 / s, A2 / d), (ES_ONE / s, A1), (A2 / (s * d), s), (ES_ONE, A2 * A2 / (s * s))],
-        [(A1 / (s * s), A1 / d), (A2 / (s * d), A1 / d), (const(3), A1 * A1 / (s * s * d))],
-    ]
-    # and sums that cancel to 0 across groups with different raw denominators
-    cancelling = [
-        [(ES_ONE / A1, ES_ONE / A2), (-ES_ONE / (A1 * A1), A1 / A2)],
-        [(ES_ONE / s, ES_ONE / d), (-A1 / (s * d), ES_ONE / A1)],
-        [
-            (A2 / (s * d), ES_ONE), (-A2 / s, ES_ONE / d),
-            (A1 / (s * s), const(1, 2)), (-A1 / (s * A2), A2 / s.scale(2)),
-        ],
-    ]
-    for pairs in shared + cancelling:
-        expected = ES_ZERO
-        for a, b in pairs:
-            expected = expected + a * b
-        assert _assert_canonical(EquivariantScalar.dot(pairs)) == expected
-        assert expected.is_zero() == (pairs in cancelling)
-    # mixed degrees add one product at a time, as + does
-    assert EquivariantScalar.dot([(A1, ES_ONE), (-A1, ES_ONE), (ES_ONE, ES_ONE)]) == ES_ONE
-    with pytest.raises(Inhomogeneous, match="degree 1 and 0"):
-        EquivariantScalar.dot([(A1, ES_ONE), (ES_ONE, ES_ONE)])
-
-
-def test_dot_over_denominator_one(monkeypatch):
-    from gwverify import scalars
-
-    rng = random.Random(47)
-    gcds = []
-    original = scalars.poly_gcd
-    monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: gcds.append(1) or original(p, q))
-
-    def polynomial(degree):
-        return EquivariantScalar(_random_form(rng, degree))
-
-    for _ in range(40):
-        degree = rng.randint(0, 4)
-        pairs = []
-        for _ in range(rng.randint(1, 6)):
-            d1 = rng.randint(0, degree)
-            pairs.append((polynomial(d1), polynomial(degree - d1)))
-        expected = ES_ZERO
-        for a, b in pairs:
-            expected = expected + a * b
-        assert _assert_canonical(EquivariantScalar.dot(pairs)) == expected
-        # a sum that cancels is the canonical 0/1
-        a, b = pairs[0]
-        zero = EquivariantScalar.dot([(a, b), (-a, b)])
-        assert _assert_canonical(zero).is_zero() and zero == ES_ZERO
-    assert not gcds  # a denominator of 1 takes no gcd
-    # mixed degrees raise as the sequential sum does
-    pairs = [(A1, A1 + A2), (A2, ES_ONE), (A1, A2)]
-    with pytest.raises(Inhomogeneous) as sequential:
-        A1 * (A1 + A2) + A2 * ES_ONE + A1 * A2
-    with pytest.raises(Inhomogeneous) as grouped:
-        EquivariantScalar.dot(pairs)
-    assert str(grouped.value) == str(sequential.value)
-
-
-def test_dot_takes_one_gcd_per_raw_denominator(monkeypatch):
-    # the unit-inverse shape: the raw denominators a1^2, a1^3 and a1^4
-    from gwverify import scalars
-
-    pairs = [
-        (A2 / A1, (A1 + A2) / A1),
-        (A2.scale(3) / A1, A2 * A2 / (A1 * A1)),
-        (A2 * A2.scale(-2) / (A1 * A1), A2 * A2 / (A1 * A1)),
-    ]
-    dens = {(a.den * b.den).degree() for a, b in pairs}
-    assert dens == {2, 3, 4}
-    gcds = []
-    original = scalars.poly_gcd
-    monkeypatch.setattr(scalars, "poly_gcd", lambda p, q: gcds.append(1) or original(p, q))
-    total = EquivariantScalar.dot(pairs)
-    assert len(gcds) <= len(dens)
-    monkeypatch.undo()
-    expected = ES_ZERO
-    for a, b in pairs:
-        expected = expected + a * b
-    assert _assert_canonical(total) == expected
-
-
 def test_ring_product_is_the_termwise_sum():
     from gwverify.ring import BaseSpace, DMFactor, ProjLineFactor, TautClass, _mono_ok
 
