@@ -29,7 +29,6 @@ or index the base does not have raises :class:`BaseMismatch`.
 from __future__ import annotations
 
 import re
-from operator import add
 
 from .errors import Inhomogeneous, ParseError
 from .ring import BaseSpace, TautClass, hodge_twist_by_genus
@@ -139,7 +138,8 @@ class _Parser:
             rhs = self.signed()
             num, den = out.weight_degrees()
             if op == "*":
-                self.bound(*map(add, (num, den), rhs.weight_degrees()), pos)
+                rnum, rden = rhs.weight_degrees()
+                self.bound(num + rnum, den + rden, pos)
                 out = out * rhs
             else:
                 parts = rhs.degree_parts()
@@ -210,10 +210,10 @@ class _Parser:
                 weights.append(self.expr())
             self.expect(")")
             # each weight w enters as a polynomial of degree genus in w
-            degrees = [sum(d) for d in zip(*(w.weight_degrees() for w in weights))]
-            if genus * max(degrees) > MAX_DEGREE:
+            num, den = map(sum, zip(*(w.weight_degrees() for w in weights)))
+            if genus * max(num, den) > MAX_DEGREE:
                 hodge_twist_by_genus(self.base, genus, [])  # a base without the factor raises first
-                self.bound(*(genus * d for d in degrees), pos)
+                self.bound(genus * num, genus * den, pos)
             return hodge_twist_by_genus(self.base, genus, weights)
         self.expect("[")
         factor, index = self.integer("factor index"), None
