@@ -14,9 +14,10 @@ Then 1/D = sum_k N^k / a0^(k+1), and N^k with k > K pairs to 0, so
 
     integral(I * O / D) = tc_integrate(I * O, sum_{k<=K} N^k a0^(K-k)) / a0^(K+1)
 
-The series is built by Horner in N; it keeps D's coefficients, which are
-polynomials in every shipped diagram, so its products take no gcd, and the
-one division by a0^(K+1) is the only reduction.
+The series and a0^(K+1) come from :func:`ring.geometric_series`, which
+:func:`ring.tc_invert` uses too.  The series keeps D's coefficients, which
+are polynomials in every shipped diagram, so its products take no gcd, and
+the one division by a0^(K+1) is the only reduction.
 
 A problem total is the sum over non-vanishing loci, times a declared
 symmetry multiplier, plus the declared weight-swapped copy when present.
@@ -55,9 +56,10 @@ from .ring import (
     ProjLineFactor,
     RubberFactor,
     TautClass,
+    geometric_series,
     tc_integrate,
 )
-from .scalars import ES_ONE, ES_ZERO, EquivariantScalar, rat_from_str
+from .scalars import ES_ZERO, EquivariantScalar, rat_from_str
 
 BUILTIN_ALIASES = {
     "fig7": "fig7",
@@ -99,19 +101,14 @@ class LocalizationProblem:
 
 
 def _term_contribution(term: LocusTerm) -> EquivariantScalar:
-    a0 = term.deformation.scalar_part()
-    if a0.is_zero():
+    if term.deformation.scalar_part().is_zero():
         raise NonInvertibleDeformation("class has no invertible degree-0 part")
     base = term.base
     numerator = term.insertion * term.obstruction
     # N^k pairs only with the numerator's terms of degree at most dim - k
     top = base.dim - min(numerator.degree_parts(), default=base.dim)
-    nilpotent = TautClass.scalar(base, a0) - term.deformation
-    series, a0_power = TautClass.one(base), ES_ONE  # by Horner in N
-    for _ in range(top):
-        a0_power = a0_power * a0
-        series = series * nilpotent + TautClass.scalar(base, a0_power)
-    paired = tc_integrate(numerator, series) / (a0_power * a0)
+    series, a0_power = geometric_series(term.deformation, top)
+    paired = tc_integrate(numerator, series) / a0_power
     return paired.scale(term.multiplicity)
 
 

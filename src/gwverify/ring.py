@@ -19,9 +19,11 @@ degrees add up to at most each factor's dimension, adds integer row
 products per monomial and multiplies the two denominators, with no gcd and
 no canonical scalar per term.  A canonical :class:`EquivariantScalar` is
 formed only where a coefficient is read: :meth:`TautClass.scalar_part`,
-:attr:`TautClass.terms` and the value of :func:`tc_integrate`.  A sum of
-products of different weight degree raises :class:`Inhomogeneous` as the
-sequential sum of the canonical products would.
+:attr:`TautClass.terms` and the value of :func:`tc_integrate`.  One rule
+holds for weight degrees: every term added into one sum carries the weight
+degree of the first, so a product or sum that puts two weight degrees on one
+monomial, or a pairing whose top terms carry two, raises
+:class:`Inhomogeneous` naming both, even where the sum has cancelled to 0.
 
 Integration is factor-wise: Deligne-Mumford factors evaluate through the
 mixed psi/lambda oracle, rubber factors through the rubber table, and a
@@ -76,7 +78,7 @@ from .scalars import (
 Mono = tuple[int, ...]
 Degrees = tuple[int, ...]  # a monomial's degree on each factor
 Group = dict[Mono, tuple[int, Row]]  # monomial -> (weight degree, integer row)
-Sums = dict[Mono, list]  # monomial -> running sum, as _pair keeps it
+Sums = dict[Mono, list]  # monomial -> [weight degree, row as a list, degrees]
 Gen = tuple[str, Optional[int], int]
 
 
@@ -323,10 +325,7 @@ class TautClass:
                 if have is None:
                     mine[m] = (d, row)
                 elif have[0] != d:
-                    raise inhomogeneous_sum(
-                        EquivariantScalar.from_row(*have, q, den),
-                        EquivariantScalar.from_row(d, row, q, den),
-                    )
+                    raise inhomogeneous_sum(have[0] - den.d, d - den.d)
                 elif total := _radd(have[1], row):
                     mine[m] = (d, total)
                 else:
@@ -350,14 +349,14 @@ class TautClass:
 
     def __mul__(self, other: "TautClass") -> "TautClass":
         self._require_same_base(other)
-        dims = self.base.dims
+        dims, den = self.base.dims, self.den * other.den
         sums: Sums = {}
         for d1, group1 in self.groups.items():
             for d2, group2 in other.groups.items():
                 degrees = tuple(map(add, d1, d2))
                 if all(map(le, degrees, dims)):
-                    _pair(sums, group1, group2, degrees)
-        return _settle(self.base, sums, self.q * other.q, self.den * other.den)
+                    _pair(sums, group1, group2, degrees, den.d)
+        return _settle(self.base, sums, self.q * other.q, den)
 
     def __pow__(self, k: int) -> "TautClass":
         if k < 0:
@@ -399,16 +398,14 @@ def _times_rows(groups: dict[Degrees, Group], factor: Row, shift: int) -> dict[D
     }
 
 
-def _pair(sums: Sums, group1: Group, group2: Group, degrees: Degrees) -> None:
+def _pair(sums: Sums, group1: Group, group2: Group, degrees: Degrees, shift: int) -> None:
     """Add the product of every term of group1 with every term of group2,
     all of the given degrees, to its monomial's running sum in ``sums``.
 
-    A running sum is [weight degree, row as a list, degrees], added to in
-    the order of the terms, as the sequential sum of the coefficient
-    products is.  When a product of another weight degree meets a nonzero
-    sum, that sum would raise :class:`Inhomogeneous`: the entry becomes
-    [None, row, degrees, its weight degree, the product], and
-    :func:`_settle` raises.
+    The first product on a monomial fixes the weight degree of its sum; a
+    later product of another weight degree raises :class:`Inhomogeneous`,
+    whatever the sum has come to.  ``shift`` is the weight degree of the
+    denominator, which the message subtracts.
     """
     for m1, (d1, row1) in group1.items():
         for m2, (d2, row2) in group2.items():
@@ -419,12 +416,7 @@ def _pair(sums: Sums, group1: Group, group2: Group, degrees: Degrees) -> None:
             if have is None:
                 sums[m] = have = [d, [0] * size, degrees]
             elif have[0] != d:
-                if have[0] is None:
-                    continue  # the sum has raised already
-                if any(have[1]):
-                    have[:] = [None, have[1], degrees, have[0], (d, _rmul(row1, row2))]
-                    continue
-                have[0], have[1] = d, [0] * size  # a cancelled sum takes the new degree
+                raise inhomogeneous_sum(have[0] - shift, d - shift)
             acc = have[1]
             if size == 1:  # two numerators a1^d1 and a1^d2, up to their integer factors
                 acc[0] += row1[0] * row2[0]
@@ -439,15 +431,9 @@ def _pair(sums: Sums, group1: Group, group2: Group, degrees: Degrees) -> None:
 
 def _settle(base: BaseSpace, sums: Sums, q: int, den: WeightPoly) -> TautClass:
     """The class of the running sums over ``q * den``, in the order their
-    monomials first appeared; the first sum that met another weight degree
-    raises :class:`Inhomogeneous` as the sequential sum does."""
+    monomials first appeared, without the sums that cancelled to 0."""
     groups: dict[Degrees, Group] = {}
-    for m, (d, row, degrees, *clash) in sums.items():
-        if d is None:
-            raise inhomogeneous_sum(
-                EquivariantScalar.from_row(clash[0], row, q, den),
-                EquivariantScalar.from_row(*clash[1], q, den),
-            )
+    for m, (d, row, degrees) in sums.items():
         row = _trim(row)
         if row:
             groups.setdefault(degrees, {})[m] = (d, row)
@@ -480,19 +466,26 @@ def _mono_str(base: BaseSpace, m: Mono) -> str:
 # ring operations
 # ---------------------------------------------------------------------------
 
-def tc_invert(a: TautClass) -> TautClass:
-    """The inverse, truncated at the base dimension K.  Write a = a0 - N
-    with a0 its scalar part; then 1/a = (sum_k N^k a0^(K-k)) / a0^(K+1),
-    with the sum built by Horner in N and divided once."""
+def geometric_series(a: TautClass, k: int) -> tuple[TautClass, EquivariantScalar]:
+    """Write a = a0 - N with a0 the scalar part of ``a``: the sum
+    sum_{j<=k} N^j a0^(k-j), built by Horner in N, and a0^(k+1).  Their
+    quotient is 1/a up to the terms of N^(k+1)."""
     a0 = a.scalar_part()
-    if a0.is_zero():
-        raise NonInvertible("class has no invertible degree-0 part")
     nilpotent = TautClass.scalar(a.base, a0) - a
     series, a0_power = TautClass.one(a.base), ES_ONE
-    for _ in range(a.base.dim):
+    for _ in range(k):
         a0_power = a0_power * a0
         series = series * nilpotent + TautClass.scalar(a.base, a0_power)
-    return series.scale((a0_power * a0).inverse())
+    return series, a0_power * a0
+
+
+def tc_invert(a: TautClass) -> TautClass:
+    """The inverse, truncated at the base dimension K: the geometric series
+    of ``a`` to N^K, divided once by a0^(K+1)."""
+    if a.scalar_part().is_zero():
+        raise NonInvertible("class has no invertible degree-0 part")
+    series, a0_power = geometric_series(a, a.base.dim)
+    return series.scale(a0_power.inverse())
 
 
 def tc_integrate(a: TautClass, b: Optional[TautClass] = None) -> EquivariantScalar:
@@ -502,22 +495,28 @@ def tc_integrate(a: TautClass, b: Optional[TautClass] = None) -> EquivariantScal
     With ``b`` given, only the products of ``a * b`` that land in top
     degree are formed: each degree group of ``a`` meets one group of ``b``.
     Each top row is weighted by its integral over one integer lcm of the
-    integrals' denominators, and the sum is reduced once.
+    integrals' denominators, and the sum is reduced once.  The top terms,
+    taken in monomial order, must carry the weight degree of the first.
     """
     base, dims = a.base, a.base.dims
     if b is None:
         top, q, den = a.groups.get(dims, {}), a.q, a.den
     else:
         a._require_same_base(b)
+        q, den = a.q * b.q, a.den * b.den
         sums: Sums = {}
         for degrees, group in a.groups.items():
             partner = b.groups.get(tuple(map(sub, dims, degrees)))
             if partner:
-                _pair(sums, group, partner, dims)
-        q, den = a.q * b.q, a.den * b.den
+                _pair(sums, group, partner, dims, den.d)
         top = _settle(base, sums, q, den).groups.get(dims, {})
-    d, acc, over = 0, [0], 1  # the running sum: a1^d acc(t) / (q * over * den)
-    for m in sorted(top):
+    ordered = sorted(top)
+    d = top[ordered[0]][0] if ordered else 0
+    acc, over = [0] * (d + 1), 1  # the running sum: a1^d acc(t) / (q * over * den)
+    for m in ordered:
+        e, row = top[m]
+        if e != d:
+            raise inhomogeneous_sum(d - den.d, e - den.d)
         val = Fraction(1)
         for f, (s, t) in zip(base.factors, base.spans):
             val *= f.integral(m[s:t])
@@ -525,14 +524,6 @@ def tc_integrate(a: TautClass, b: Optional[TautClass] = None) -> EquivariantScal
                 break
         if val == 0:
             continue
-        e, row = top[m]
-        if e != d:
-            if any(acc):
-                raise inhomogeneous_sum(
-                    EquivariantScalar.from_row(d, acc, q * over, den),
-                    EquivariantScalar.from_row(e, row, q, den).scale(val),
-                )
-            d, acc = e, [0] * (e + 1)
         if over % val.denominator:
             k = lcm(over, val.denominator) // over
             acc, over = [k * x for x in acc], over * k

@@ -492,7 +492,7 @@ class EquivariantScalar:
                 self.num * other.den + other.num * self.den, self.den * other.den
             )
         except Inhomogeneous:
-            raise inhomogeneous_sum(self, other) from None
+            raise inhomogeneous_sum(self.degree(), other.degree()) from None
 
     def __neg__(self) -> "EquivariantScalar":
         res = EquivariantScalar.__new__(EquivariantScalar)
@@ -571,12 +571,10 @@ ES_ZERO = EquivariantScalar.from_rational(0)
 ES_ONE = EquivariantScalar.from_rational(1)
 
 
-def inhomogeneous_sum(x: EquivariantScalar, y: EquivariantScalar) -> Inhomogeneous:
-    """The error that adding the nonzero scalars x and y of different
-    degrees raises."""
-    return Inhomogeneous(
-        f"cannot add scalars of degree {x.degree()} and {y.degree()}: {x} and {y}"
-    )
+def inhomogeneous_sum(x: int, y: int) -> Inhomogeneous:
+    """The error that adding nonzero scalars of the different degrees x and
+    y raises."""
+    return Inhomogeneous(f"cannot add scalars of degree {x} and {y}")
 
 
 # Spec-facing helpers -------------------------------------------------------

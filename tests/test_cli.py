@@ -269,6 +269,12 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
     product = _point_diagram(
         tmp_path / "product", "1", "1", insertion="*".join(["(a1+2*a2)^64"] * 50)
     )
+    (tmp_path / "twist").mkdir()
+    # a twist whose factors mix weight degrees 62 and 43 on lam[0,1]
+    twist = _point_diagram(
+        tmp_path / "twist", "hodgetwist(3; (a1+a2)^20, a1)", "1",
+        base=({"kind": "dm", "g": 3, "n": 1},),
+    )
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     # entries that are not JSON objects, terms that is not a list, or labels
@@ -352,6 +358,7 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         ("localize", "--config", power),
         ("localize", "--config", nested_power),
         ("localize", "--config", product),
+        ("localize", "--config", twist),
         *(("localize", "--config", path) for path in loose),
         *(("localize", "--config", path) for path in bad_factors),
         *(("localize", "--config", path) for path in not_objects),
@@ -369,6 +376,9 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         if argv[-1] == product:
             assert "locus 'pt': bad insertion expression: weight degree 128 at position 12" in err
             assert time.perf_counter() - start < 1, err
+        if argv[-1] == twist:
+            assert err.count("\n") == 1 and len(err) < 300, err
+            assert "bad obstruction expression: cannot add scalars of degree 62 and 43" in err
         if argv[-1] == nested_power:
             assert "locus 'pt': bad insertion expression: nested exponents multiply to 4096" in err
     assert "locus 'pt': bad insertion expression: expression nested too deeply" in err

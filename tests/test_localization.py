@@ -25,7 +25,7 @@ from gwverify.localization import (
     problem_total,
     resolve_problem,
 )
-from gwverify.ring import tc_integrate, tc_invert
+from gwverify.ring import _mono_degrees, tc_integrate, tc_invert
 from gwverify.scalars import ES_ZERO, es_eval
 
 
@@ -331,6 +331,24 @@ def test_inhomogeneous_integrand_names_the_locus():
     )
     with pytest.raises(SchemaError, match="locus 'square'"):
         problem_total(problem)
+
+
+def test_shipped_fields_are_homogeneous():
+    # every term of a field has one weight degree plus monomial degree, so no
+    # product or pairing of the shipped diagrams mixes weight degrees, and a
+    # diagram that does fails through the ring's own rule
+    fields = 0
+    for name in sorted({stem: name for name, stem in BUILTIN_ALIASES.items()}.values()):
+        for spec in builtin_problem(name).loci:
+            for term in spec.terms:
+                for cls in (term.insertion, term.obstruction, term.deformation):
+                    degrees = {
+                        c.degree() + sum(_mono_degrees(term.base, m))
+                        for m, c in cls.terms.items()
+                    }
+                    assert len(degrees) <= 1, (name, spec.label, degrees)
+                    fields += 1
+    assert fields == 54
 
 
 def test_exponent_above_the_bound_is_schema_error():

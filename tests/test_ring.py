@@ -15,6 +15,7 @@ from gwverify.ring import (
     RubberFactor,
     TautClass,
     _label,
+    _mono_degrees,
     _mono_ok,
     hodge_twist_by_genus,
     tc_integrate,
@@ -444,11 +445,17 @@ def test_product_coefficient_is_the_sum_of_products():
         expected = _sequential(pairs)
         assert _assert_canonical(_sum_of_products(pairs)) == expected
         assert expected.is_zero() == (pairs in cancelling)
-    # mixed degrees add one product at a time, as + does: a sum that has
-    # cancelled takes the next degree, and one that has not raises
-    assert _sum_of_products([(A1, ES_ONE), (-A1, ES_ONE), (ES_ONE, ES_ONE)]) == ES_ONE
+    # the first product fixes the weight degree of the sum, and a product of
+    # another raises, also after the sum has cancelled
+    with pytest.raises(Inhomogeneous, match="degree 1 and 0"):
+        _sum_of_products([(A1, ES_ONE), (-A1, ES_ONE), (ES_ONE, ES_ONE)])
     with pytest.raises(Inhomogeneous, match="degree 1 and 0"):
         _sum_of_products([(A1, ES_ONE), (ES_ONE, ES_ONE)])
+    # as do the top terms of a pairing, in monomial order: lam*x before psi*x
+    base = BaseSpace((DMFactor(1, 1), ProjLineFactor()))
+    with pytest.raises(Inhomogeneous) as mixed:
+        tc_integrate(parse_class("a1*psi[0,1]*x[1] + lam[0,1]*x[1]", base))
+    assert str(mixed.value) == "cannot add scalars of degree 0 and 1"
 
 
 def _count_gcds(monkeypatch):
@@ -578,6 +585,42 @@ def _integral(a, b=None):
         return str(exc)
 
 
+def _termwise(base, a, b):
+    """The termwise reference of a * b: each monomial's list of products."""
+    products = {}
+    for m1, c1 in a.terms.items():
+        for m2, c2 in b.terms.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            if _mono_ok(base, m):
+                products.setdefault(m, []).append(c1 * c2)
+    return products
+
+
+def _check_weight_degree_rule(base, a, b):
+    """a * b raises exactly where the termwise reference puts products of two
+    weight degrees on one monomial, and tc_integrate(a, b) raises where such
+    a monomial is of top degree or the surviving top terms carry two."""
+    products = _termwise(base, a, b)
+    mixed = {m for m, ps in products.items() if len({p.degree() for p in ps}) > 1}
+    top = {m for m in products if _mono_degrees(base, m) == base.dims}
+    if mixed:
+        with pytest.raises(Inhomogeneous):
+            a * b
+        if mixed & top:
+            with pytest.raises(Inhomogeneous):
+                tc_integrate(a, b)
+        return
+    product = a * b
+    expected = {m: sum(ps, ES_ZERO) for m, ps in products.items()}
+    assert product.terms == {m: c for m, c in expected.items() if not c.is_zero()}
+    if len({expected[m].degree() for m in top if not expected[m].is_zero()}) > 1:
+        for pairing in ((a, b), (product, None)):
+            with pytest.raises((Inhomogeneous, UnknownMonomial)):
+                tc_integrate(*pairing)
+    else:
+        assert _integral(a, b) == _integral(product)
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(st.data())
 def test_product_and_pairing_properties(data):
@@ -586,12 +629,7 @@ def test_product_and_pairing_properties(data):
     s = data.draw(st.integers(0, base.dim))
     a, b, c = (data.draw(_drawn_classes(base, s)) for _ in range(3))
     product = a * b
-    expected = {}  # the termwise reference
-    for m1, c1 in a.terms.items():
-        for m2, c2 in b.terms.items():
-            m = tuple(x + y for x, y in zip(m1, m2))
-            if _mono_ok(base, m):
-                expected[m] = expected.get(m, ES_ZERO) + c1 * c2
+    expected = {m: sum(ps, ES_ZERO) for m, ps in _termwise(base, a, b).items()}
     assert product.terms == {m: c for m, c in expected.items() if not c.is_zero()}
     assert product == b * a
     assert product * c == a * (b * c)
@@ -603,3 +641,8 @@ def test_product_and_pairing_properties(data):
     for cls in (a, b, c, product, b + c, a.scale(x)):
         for coefficient in cls.terms.values():
             _assert_canonical(coefficient)
+    if a.terms:  # one term of a one weight degree up, against b and a + b
+        m = data.draw(st.sampled_from(sorted(a.terms)))
+        shifted = TautClass(base, {**a.terms, m: a.terms[m] * A1})
+        for partner in (b, a + b):
+            _check_weight_degree_rule(base, shifted, partner)
