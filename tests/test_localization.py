@@ -335,8 +335,9 @@ def test_inhomogeneous_integrand_names_the_locus():
 
 def test_shipped_fields_are_homogeneous():
     # every term of a field has one weight degree plus monomial degree, so no
-    # product or pairing of the shipped diagrams mixes weight degrees, and a
-    # diagram that does fails through the ring's own rule
+    # product or pairing of the shipped diagrams mixes weight degrees; that is
+    # why diagrams get no load-time check, and one that mixes them fails
+    # through the ring's own rule
     fields = 0
     for name in sorted({stem: name for name, stem in BUILTIN_ALIASES.items()}.values()):
         for spec in builtin_problem(name).loci:
