@@ -283,7 +283,7 @@ def _eval_uncached(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
         key = PsiKey(g, psi)
         if 0 in psi:
             terms = string_reduce(key)
-            return sum((_eval(g, k.exponents, lam) for k in terms), Fraction(0))
+            return sum((m * _eval(g, k.exponents, lam) for m, k in terms), Fraction(0))
         if 1 in psi:
             factor, reduced = dilaton_reduce(key)
             return factor * _eval(g, reduced.exponents, lam)

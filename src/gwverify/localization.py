@@ -88,6 +88,7 @@ class FixedLocusSpec:
     source: str = ""
     vanishes: Optional[str] = None
     terms: tuple[LocusTerm, ...] = ()
+    where: str = ""  # the diagram file and locus, which errors after loading name
 
 
 @dataclass(frozen=True)
@@ -131,7 +132,7 @@ def locus_contribution(spec: FixedLocusSpec) -> EquivariantScalar:
         for term in spec.terms:
             total = total + _term_contribution(term)
     except Inhomogeneous as exc:
-        raise SchemaError(f"locus {spec.label!r}: {exc}") from exc
+        raise SchemaError(f"{spec.where or f'locus {spec.label!r}'}: {exc}") from exc
     _CONTRIB_CACHE[spec] = total
     return total
 
@@ -269,7 +270,9 @@ def _parse_locus(raw: dict, where: str) -> FixedLocusSpec:
             raise SchemaError(
                 f"{where} term {i}: deformation has no invertible scalar part"
             )
-    return FixedLocusSpec(label=label, source=str(raw.get("source", "")), terms=terms)
+    return FixedLocusSpec(
+        label=label, source=str(raw.get("source", "")), terms=terms, where=where
+    )
 
 
 def parse_problem(payload: dict, where: str) -> LocalizationProblem:

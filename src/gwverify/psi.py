@@ -5,23 +5,24 @@ The recursion runs on scaled values M(g; a) = 2^(2g-2+n) 24^g
 prod (2a_i+1)!! <prod tau_{a_i}>_g, seeded with M(0; 0,0,0) = 2 and
 M(1; 1) = 6.  A key with a 1 exponent is reduced by the dilaton equation;
 any other key by one step of the Virasoro/KdV recursion
-(Dijkgraaf-Verlinde-Verlinde form) at a psi-free point, where the step is
-the string equation (its merge sum alone), or else at its largest exponent.
-Against a key's scale, a term with one point fewer and a separating product
-each carry 1/2, and the nonseparating term, one genus lower and one point
-more, 1/48; so the coefficients are integers (2 for dilaton and the DVV merge
-sum, 24 and 1 for the DVV's nonseparating and separating terms), every M is
-an integer, and no step divides.  Only ``psi_intersect`` and ``dvv_expand``
-build a Fraction.  This is an independent oracle: any correct pure-psi
-recursion is acceptable.  The DVV step holds at every point of every key but
-the two seeds, so ``dvv_expand`` at the largest exponent double-checks every
-key with a 0 or 1 exponent, and ``string_reduce`` / ``dilaton_reduce`` state
-the two equations on keys for the Hodge oracle and the closure checks.
+(Dijkgraaf-Verlinde-Verlinde form) at its last point, which holds its
+smallest exponent a: at a 0 the step is the string equation (its merge sum
+alone), and otherwise its boundary sum over b + c = a - 2 is short.  Only
+the separating splits whose dimensions balance are built.  Against a key's
+scale, a term with one point fewer and a separating product each carry 1/2,
+and the nonseparating term, one genus lower and one point more, 1/48; so the
+coefficients are integers (2 for dilaton and the DVV merge sum, 24 and 1 for
+the DVV's nonseparating and separating terms), every M is an integer, and no
+step divides.  Only ``psi_intersect`` and ``dvv_expand`` build a Fraction.
+This is an independent oracle: any correct pure-psi recursion is acceptable.
+The DVV step holds at every point of every key but the two seeds, so
+``dvv_expand`` at the first point double-checks every key with a 1 exponent
+or with two distinct exponents, and ``string_reduce`` / ``dilaton_reduce``
+state the two equations on keys for the Hodge oracle and the closure checks.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
@@ -101,7 +102,7 @@ def _norm(g: int, exps: tuple[int, ...]) -> int:
 
 def _recurse_uncached(g: int, exps: tuple[int, ...]) -> int:
     """M(g; a) by one step: the seeds, else dilaton at an exponent-1 point,
-    else DVV at a psi-free point or, without one, at the largest exponent."""
+    else DVV at the last point, which holds the smallest exponent."""
     if g == 0 and exps == (0, 0, 0):
         return 2
     if g == 1 and exps == (1,):
@@ -113,8 +114,9 @@ def _recurse_uncached(g: int, exps: tuple[int, ...]) -> int:
         i = exps.index(1)
         return 6 * (2 * g - 3 + n) * _norm(g, exps[:i] + exps[i + 1 :])
     # at a psi-free point DVV is the string equation: its merge sum is
-    # 2 sum_j (2a_j + 1) M(g; A with a_j lowered), its boundary sum empty
-    return _dvv(g, exps, n - 1 if exps[-1] == 0 else 0)
+    # 2 sum_j (2a_j + 1) M(g; A with a_j lowered), its boundary sum empty;
+    # at any other smallest exponent a, the boundary sum b + c = a - 2 is short
+    return _dvv(g, exps, n - 1)
 
 
 def _runs(exps: tuple[int, ...]):
@@ -134,12 +136,15 @@ def _dvv(g: int, exps: tuple[int, ...], point: int) -> int:
                + sum_{b + c = a - 2} [ 24 M(g - 1; b, c, A)
                    + sum_{I + J = A} M(g_1; b, I) M(g_2; c, J) ]
 
-    Separating splits are sub-multisets I of A weighted by prod C(m_k, i_k);
-    g_1 comes from the dimension equation b + sum(I) = 3 g_1 - 2 + |I|, and a
-    split without an integral, stable g_1 and g_2 is skipped unevaluated."""
+    Separating splits are sub-multisets I of A weighted by prod C(m_k, i_k).
+    The dimension equation b + sum(I) = 3 g_1 - 2 + |I| fixes b by g_1, so
+    each split solves for the genera 0 <= g_1 <= g that put b in [0, c], and
+    builds I and J only when there is one.  Both sides are then stable, as a
+    side with a point and no negative exponent or dimension is."""
     a1, rest = exps[point], exps[:point] + exps[point + 1 :]
+    runs = list(_runs(rest))
     total = 0
-    for i, m, aj in _runs(rest):
+    for i, m, aj in runs:
         if a1 + aj >= 1:
             # i ends aj's run, so only the left neighbour can be out of order
             merged = rest[:i] + (a1 + aj - 1,) + rest[i + 1 :]
@@ -151,40 +156,37 @@ def _dvv(g: int, exps: tuple[int, ...], point: int) -> int:
         return total
     # the boundary sum is symmetric under (b, I) <-> (c, J): take b <= c,
     # and count a b < c term twice
-    nonseparating = g >= 1 and 2 * g - 2 + len(rest) > 0
-    splits = _splits(rest)
-    for b in range(a1 // 2):
-        c = a1 - 2 - b
-        term = 0
-        if nonseparating:
-            term += 24 * _norm(g - 1, tuple(sorted((b, c) + rest, reverse=True)))
-        for size, dim1, weight, left, right in splits:
-            g1, r = divmod(b + dim1 + 2 - size, 3)
-            g2 = g - g1
-            if r or g1 < 0 or g2 < 0 or 2 * g1 - 1 + size <= 0 or 2 * g2 - 1 + len(rest) - size <= 0:
-                continue
-            term += (
-                weight
-                * _norm(g1, tuple(sorted((b,) + left, reverse=True)))
-                * _norm(g2, tuple(sorted((c,) + right, reverse=True)))
-            )
-        total += 2 * term if b < c else term
-    return total
-
-
-def _splits(rest: tuple[int, ...]) -> list:
-    """Every sub-multiset I of a descending tuple with its complement J, as
-    (|I|, sum(I), prod C(m_k, i_k), I, J)."""
-    groups = [(a, m) for _, m, a in _runs(rest)]
-    out = []
-    for counts in itertools.product(*(range(m + 1) for _, m in groups)):
+    top = a1 // 2 - 1
+    if g >= 1 and 2 * g - 2 + len(rest) > 0:
+        for b in range(top + 1):
+            c = a1 - 2 - b
+            term = 24 * _norm(g - 1, tuple(sorted((b, c) + rest, reverse=True)))
+            total += 2 * term if b < c else term
+    # (sum(I) - |I|, multiplicities) of every sub-multiset I, one run at a time
+    splits = [(0, ())]
+    for _, m, a in runs:
+        splits = [(e + (a - 1) * k, ks + (k,)) for e, ks in splits for k in range(m + 1)]
+    for excess, counts in splits:
+        # 0 <= b = 3 g_1 - 2 - excess <= top, with 0 <= g_1 <= g
+        low = max((excess + 4) // 3, 0)
+        high = min((top + 2 + excess) // 3, g)
+        if low > high:
+            continue
         left, right, weight = (), (), 1
-        for (a, m), k in zip(groups, counts):
+        for (_, m, a), k in zip(runs, counts):
             left += (a,) * k
             right += (a,) * (m - k)
             weight *= comb(m, k)
-        out.append((len(left), sum(left), weight, left, right))
-    return out
+        for g1 in range(low, high + 1):
+            b = 3 * g1 - 2 - excess
+            c = a1 - 2 - b
+            term = (
+                weight
+                * _norm(g1, tuple(sorted((b,) + left, reverse=True)))
+                * _norm(g - g1, tuple(sorted((c,) + right, reverse=True)))
+            )
+            total += 2 * term if b < c else term
+    return total
 
 
 def psi_intersect(key: PsiKey) -> Fraction:
@@ -202,9 +204,8 @@ def dvv_expand(key: PsiKey, point: int = 0) -> Fraction:
 
     The step holds at every point of every key except the two seeds
     <tau_0^3>_0 and <tau_1>_1.  The recursion takes it only on keys it
-    cannot reduce by dilaton, at a psi-free point, or at the largest
-    exponent, so at a point of any other exponent it is an independent
-    check of the recursion."""
+    cannot reduce by dilaton, at the last point, so at a point of any other
+    exponent it is an independent check of the recursion."""
     check_bounds(key.genus, len(key.exponents))
     if sum(key.exponents) != key.dim:
         return Fraction(0)
@@ -212,11 +213,13 @@ def dvv_expand(key: PsiKey, point: int = 0) -> Fraction:
     return Fraction(_dvv(g, exps, point), _scale(g, exps))
 
 
-def string_reduce(key: PsiKey) -> list[PsiKey]:
+def string_reduce(key: PsiKey) -> list[tuple[int, PsiKey]]:
     """String equation: remove a psi-exponent-0 point, lowering one exponent.
 
     <tau_0 prod tau_{a_j}> = sum_j <tau_{a_j - 1} prod_{l != j} tau_{a_l}>;
-    terms with a_j = 0 drop out.
+    terms with a_j = 0 drop out.  Returns one (multiplicity, reduced key) pair
+    for each distinct nonzero exponent, largest first, as the points with
+    equal exponents lower to the same key.
     """
     check_bounds(key.genus, len(key.exponents))
     if 0 not in key.exponents:
@@ -225,11 +228,11 @@ def string_reduce(key: PsiKey) -> list[PsiKey]:
     rest.remove(0)
     if not (2 * key.genus - 2 + len(rest) > 0):
         raise UnstableReduction(f"removing a point from {key} is unstable")
-    out = []
-    for j, aj in enumerate(rest):
-        if aj >= 1:
-            out.append(PsiKey(key.genus, tuple(rest[:j] + [aj - 1] + rest[j + 1 :])))
-    return out
+    return [
+        (m, PsiKey(key.genus, tuple(rest[:i] + [aj - 1] + rest[i + 1 :])))
+        for i, m, aj in _runs(tuple(rest))
+        if aj >= 1
+    ]
 
 
 def dilaton_reduce(key: PsiKey) -> tuple[int, PsiKey]:

@@ -272,7 +272,7 @@ def criterion_12_property_suites():
             continue
         stored = psi_intersect(key)
         if 0 in key.exponents and 2 * key.genus - 2 + key.n - 1 > 0:
-            if sum(psi_intersect(k) for k in string_reduce(key)) != stored:
+            if sum(m * psi_intersect(k) for m, k in string_reduce(key)) != stored:
                 return False, f"string closure fails at {key}"
             closure_checked += 1
         if 1 in key.exponents and 2 * key.genus - 2 + key.n - 1 > 0:
@@ -280,8 +280,9 @@ def criterion_12_property_suites():
             if factor * psi_intersect(reduced) != stored:
                 return False, f"dilaton closure fails at {key}"
             closure_checked += 1
-        # the recursion took dilaton here, or DVV at a psi-free point (the
-        # string equation); DVV at the largest exponent is independent
+        # the recursion took dilaton here, or DVV at its last point, a 0 (the
+        # string equation); DVV at the first point, a larger exponent, is
+        # independent
         if {0, 1} & set(key.exponents) and 2 * key.genus - 2 + key.n - 1 > 0:
             if dvv_expand(key) != stored:
                 return False, f"DVV closure fails at {key}"

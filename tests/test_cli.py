@@ -275,6 +275,12 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         tmp_path / "twist", "hodgetwist(3; (a1+a2)^20, a1)", "1",
         base=({"kind": "dm", "g": 3, "n": 1},),
     )
+    (tmp_path / "mixed").mkdir()
+    # each field parses, but the product mixes weight degrees 1 and 0 on x[0]*x[1]
+    mixed = _point_diagram(
+        tmp_path / "mixed", "x[0] + x[1]", "1", insertion="a1*x[0] + x[1]",
+        base=({"kind": "p1"}, {"kind": "p1"}),
+    )
     deep = tmp_path / "deep.json"
     deep.write_text("[" * 100_000 + "]" * 100_000)
     # entries that are not JSON objects, terms that is not a list, or labels
@@ -359,6 +365,7 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         ("localize", "--config", nested_power),
         ("localize", "--config", product),
         ("localize", "--config", twist),
+        ("localize", "--config", mixed),
         *(("localize", "--config", path) for path in loose),
         *(("localize", "--config", path) for path in bad_factors),
         *(("localize", "--config", path) for path in not_objects),
@@ -379,6 +386,8 @@ def test_over_bound_or_nested_input_is_a_usage_error(capsys, tmp_path):
         if argv[-1] == twist:
             assert err.count("\n") == 1 and len(err) < 300, err
             assert "bad obstruction expression: cannot add scalars of degree 62 and 43" in err
+        if argv[-1] == mixed:
+            assert err == f"error: {mixed} locus 'pt': cannot add scalars of degree 1 and 0\n", err
         if argv[-1] == nested_power:
             assert "locus 'pt': bad insertion expression: nested exponents multiply to 4096" in err
     assert "locus 'pt': bad insertion expression: expression nested too deeply" in err

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -139,15 +141,20 @@ def test_errors():
 
 def test_string_reduce():
     # (g=3, (0,8)) -> (g=3, (7))
-    [k] = string_reduce(PsiKey(3, (0, 8)))
-    assert k == PsiKey(3, (7,))
+    [(m, k)] = string_reduce(PsiKey(3, (0, 8)))
+    assert m == 1 and k == PsiKey(3, (7,))
     assert psi_intersect(k) == Fraction(1, 82944)
     # (g=2, (0,5)) -> (g=2, (4))
-    [k] = string_reduce(PsiKey(2, (0, 5)))
-    assert k == PsiKey(2, (4,))
+    [(m, k)] = string_reduce(PsiKey(2, (0, 5)))
+    assert m == 1 and k == PsiKey(2, (4,))
     # n = 4 genus 0 brute-force check of the string rule
-    ks = string_reduce(PsiKey(0, (1, 0, 0, 0)))
-    assert sum(psi_intersect(k) for k in ks) == val(0, 1, 0, 0, 0) == 1
+    terms = string_reduce(PsiKey(0, (1, 0, 0, 0)))
+    assert sum(m * psi_intersect(k) for m, k in terms) == val(0, 1, 0, 0, 0) == 1
+    # points of one exponent lower to one key, counted by their multiplicity
+    assert string_reduce(PsiKey(1, (2, 2, 0, 0))) == [(2, PsiKey(1, (2, 1, 0)))]
+    terms = string_reduce(PsiKey(2, (4, 2, 2, 0, 0)))
+    assert terms == [(1, PsiKey(2, (3, 2, 2, 0))), (2, PsiKey(2, (4, 2, 1, 0)))]
+    assert sum(m * psi_intersect(k) for m, k in terms) == val(2, 4, 2, 2, 0, 0)
     with pytest.raises(NoZeroExponent):
         string_reduce(PsiKey(2, (4,)))
 
@@ -192,16 +199,72 @@ def test_string_dilaton_closure_on_memoized_keys():
             continue
         stored = psi_intersect(key)
         if 0 in key.exponents and 2 * key.genus - 2 + key.n - 1 > 0:
-            assert sum(psi_intersect(k) for k in string_reduce(key)) == stored
+            assert sum(m * psi_intersect(k) for m, k in string_reduce(key)) == stored
         if 1 in key.exponents and 2 * key.genus - 2 + key.n - 1 > 0:
             factor, k = dilaton_reduce(key)
             assert factor * psi_intersect(k) == stored
-        # the recursion took dilaton here, or DVV at a psi-free point (the
-        # string equation); DVV at the largest exponent is independent
-        if {0, 1} & set(key.exponents) and 2 * key.genus - 2 + key.n - 1 > 0:
+        # the recursion took dilaton here, or DVV at its last point, which
+        # holds the smallest exponent; DVV at the first point is independent
+        # unless every exponent is the same (the two seeds take no DVV step)
+        first, last = key.exponents[0], key.exponents[-1]
+        if (1 in key.exponents or first != last) and 2 * key.genus - 2 + key.n - 1 > 0:
             assert dvv_expand(key) == stored
             dvv_checked += 1
     assert dvv_checked > 50
+
+
+def _double_factorial(k):
+    """(2k + 1)!!, with (-1)!! = 1."""
+    return math.prod(range(1, 2 * k + 2, 2))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference(g, exps):
+    """<tau_exps>_g on Fractions by the DVV recursion at point 0, summed over
+    every subset of the other points' indices, with the seeds <tau_0^3>_0 = 1
+    and <tau_1>_1 = 1/24 and every unstable or unbalanced bracket 0:
+
+    (2k+3)!! <tau_{k+1} tau_S>_g = sum_j (2k+2a_j+1)!!/(2a_j-1)!! <tau_{k+a_j} tau_{S-j}>_g
+        + 1/2 sum_{r+s=k-1} (2r+1)!! (2s+1)!! [<tau_r tau_s tau_S>_{g-1}
+            + sum_{g_1+g_2=g, I+J=S} <tau_r tau_I>_{g_1} <tau_s tau_J>_{g_2}].
+
+    It shares no code with psi: no scaled integers, multisets or genus
+    solve."""
+    n = len(exps)
+    if g < 0 or min(exps, default=0) < 0 or 2 * g - 2 + n <= 0 or sum(exps) != 3 * g - 3 + n:
+        return Fraction(0)
+    if (g, exps) in ((0, (0, 0, 0)), (1, (1,))):
+        return Fraction(1, 24**g)
+    k, rest = exps[0] - 1, exps[1:]
+    total = Fraction(0)
+    for j, aj in enumerate(rest):
+        merged = (k + aj,) + rest[:j] + rest[j + 1 :]
+        total += Fraction(_double_factorial(k + aj), _double_factorial(aj - 1)) * _reference(g, merged)
+    for r in range(k):
+        s = k - 1 - r
+        weight = Fraction(_double_factorial(r) * _double_factorial(s), 2)
+        total += weight * _reference(g - 1, (r, s) + rest)
+        for mask in range(1 << len(rest)):
+            left = tuple(a for i, a in enumerate(rest) if mask >> i & 1)
+            right = tuple(a for i, a in enumerate(rest) if not mask >> i & 1)
+            for g1 in range(g + 1):
+                total += weight * _reference(g1, (r,) + left) * _reference(g - g1, (s,) + right)
+    return total / _double_factorial(k + 1)
+
+
+def test_reference_recursion():
+    # every balanced key with g <= 3, n <= 5 against a plain recursion
+    checked = 0
+    for g in range(4):
+        for n in range(1, 6):
+            if 2 * g - 2 + n <= 0:
+                continue
+            dim = 3 * g - 3 + n
+            for exps in itertools.combinations_with_replacement(range(dim, -1, -1), n):
+                if sum(exps) == dim:
+                    assert val(g, *exps) == _reference(g, exps), (g, exps)
+                    checked += 1
+    assert checked == 140
 
 
 def _two_point_function(max_genus):
@@ -261,12 +324,16 @@ def test_two_point_function():
     assert checked == 33
 
 
-# among the slowest keys of the MAX_GENUS x MAX_POINTS box when cold
+# among the slowest keys of the MAX_GENUS x MAX_POINTS box when cold: most of
+# their points are 2s, and a DVV step at a 2 has b = c = 0 and psi-free children
 HEAVY_KEYS = [
     (6, (5,) + (2,) * 11),
     (6, (3, 3, 3) + (2,) * 9),
     (6, (4, 4, 3) + (2,) * 7),
     (6, (5, 5, 5, 4, 2, 2, 2, 2, 0, 0, 0, 0)),
+    (6, (5, 4) + (2,) * 8),
+    (6, (5, 3, 3, 3) + (2,) * 6 + (0,)),
+    (6, (7, 6, 4, 3, 3, 2, 2, 0, 0, 0, 0, 0)),
 ]
 
 
@@ -276,9 +343,13 @@ def test_heaviest_cells_cold(g, exps):
     key = PsiKey(g, exps)
     value = psi_intersect(key)
     assert value > 0
-    # the DVV step holds on every point; the recursion took it at a psi-free
-    # point, or at the largest exponent of a key without one, so the points
-    # of every other exponent are checks
+    # the DVV step holds on every point; the recursion took it at the last
+    # point, the smallest exponent, so the points of every other exponent
+    # are checks
     for point, a in enumerate(key.exponents):
         if point == 0 or a != key.exponents[point - 1]:
             assert dvv_expand(key, point) == value, point
+    # a split of a genus outside [0, g] multiplies by a value of 0, so only
+    # the memo shows one
+    for k in memoized_keys():
+        assert 0 <= k.genus <= g and k.is_stable() and sum(k.exponents) == k.dim, k
