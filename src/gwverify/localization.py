@@ -88,7 +88,7 @@ class FixedLocusSpec:
     source: str = ""
     vanishes: Optional[str] = None
     terms: tuple[LocusTerm, ...] = ()
-    where: str = ""  # the diagram file and locus, which errors after loading name
+    where: str = ""  # "<file> locus '<label>'", the prefix of errors found after loading
 
 
 @dataclass(frozen=True)

@@ -324,16 +324,16 @@ def test_two_point_function():
     assert checked == 33
 
 
-# among the slowest keys of the MAX_GENUS x MAX_POINTS box when cold: most of
-# their points are 2s, and a DVV step at a 2 has b = c = 0 and psi-free children
+# among the slowest keys of the MAX_GENUS x MAX_POINTS box when cold; most
+# have many 2s, as a DVV step at a 2 has b = c = 0 and psi-free children
 HEAVY_KEYS = [
     (6, (5,) + (2,) * 11),
     (6, (3, 3, 3) + (2,) * 9),
     (6, (4, 4, 3) + (2,) * 7),
     (6, (5, 5, 5, 4, 2, 2, 2, 2, 0, 0, 0, 0)),
     (6, (5, 4) + (2,) * 8),
-    (6, (5, 3, 3, 3) + (2,) * 6 + (0,)),
-    (6, (7, 6, 4, 3, 3, 2, 2, 0, 0, 0, 0, 0)),
+    (6, (8, 3, 3) + (2,) * 6 + (1, 0, 0)),
+    (6, (8, 5, 4, 3, 3, 2, 2, 0, 0, 0, 0, 0)),
 ]
 
 
