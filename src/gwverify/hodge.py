@@ -1,11 +1,14 @@
 """Mixed psi/lambda intersection numbers for genus <= 3, and the table-backed
 oracle for the degree-1 rubber integrals.
 
-Evaluation pipeline: dimension gate, then marked-point stripping (string for
-exponent 0, dilaton for exponent 1, by ``psi.string_reduce`` and
-``psi.dilaton_reduce``), then the Mumford relations, then either
-the pure-psi recursion or a table lookup.  A residual monomial that is not in
-the shipped tables raises :class:`UnknownMonomial`; values are never invented.
+Evaluation pipeline: the dimension gate; a monomial without lambda goes to
+the pure-psi recursion, and one whose lambda part is exactly lambda_g to the
+lambda_g closed form of :mod:`gwverify.closedform`, which reads no table;
+any other is stripped of marked points (string for exponent 0, dilaton for
+exponent 1, by ``psi.string_reduce`` and ``psi.dilaton_reduce``), rewritten
+by the Mumford relations and looked up in the table.  A residual monomial
+that is not in the shipped tables raises :class:`UnknownMonomial`; values
+are never invented.
 
 Relations used (all exact consequences of c(E)c(E*) = 1 plus the vanishing
 of the top Hodge class squared):
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ._data import json_int, load_json, require
+from .closedform import lambda_g_constant, multinomial, one_point_series
 from .errors import (
     GenusOutOfRange,
     SchemaError,
@@ -38,6 +42,10 @@ from .scalars import rat_from_str
 LamTuple = tuple[int, ...]
 
 MAX_GENUS = 3  # the lambda relations and both tables stop here; every genus cap reads it
+
+# b_g of the lambda_g formula, and the one-point series of closedform, by genus
+_LAMBDA_G = tuple(lambda_g_constant(g) for g in range(MAX_GENUS + 1))
+_ONE_POINT = one_point_series(MAX_GENUS)
 
 
 @dataclass(frozen=True)
@@ -149,9 +157,11 @@ def _table(name: str) -> dict[tuple, Fraction]:
     divided by its rewrite coefficient.  A rubber row's psi is the target's
     exponent, a DM row's one exponent per point (stored descending).  A row
     that is not an object of JSON integers and a string value, a row in the
-    relation ideal with a nonzero value, a DM row without lambda whose value
-    is not the psi recursion's, or two rows that disagree after
-    normalisation, is a SchemaError naming the file and the entries.
+    relation ideal with a nonzero value, a DM row whose value is not its
+    table-free route's (the psi recursion without lambda, the lambda_g
+    formula with lambda_g alone, the one-point series with another single
+    lambda_j on DM(g, 1)), or two rows that disagree after normalisation, is
+    a SchemaError naming the file and the entries.
     """
     table = _TABLES.get(name)
     if table is not None:
@@ -174,13 +184,13 @@ def _table(name: str) -> dict[tuple, Fraction]:
             if len(lam) != g or isinstance(psi, tuple) and len(psi) != n:
                 raise ValueError("exponent vectors do not match (g, n)")
             normal = rewrite_lambda(g, lam)
-            if name == "dm_intersections.json" and not any(lam):
-                recursion = psi_intersect(PsiKey(g, psi))
-                if value != recursion:
-                    raise ValueError(
-                        f"psi={list(psi)} without lambda has value {value}, "
-                        f"but the psi recursion gives {recursion}"
-                    )
+            route = _table_free(g, psi, lam) if name == "dm_intersections.json" else None
+            if route is not None and value != route[1]:
+                shown = f"with lambda={list(lam)}" if any(lam) else "without lambda"
+                raise ValueError(
+                    f"psi={list(psi)} {shown} has value {value}, "
+                    f"but {route[0]} gives {route[1]}"
+                )
         except (KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"{loc}: {exc}") from exc
         if normal is None:
@@ -201,6 +211,26 @@ def _table(name: str) -> dict[tuple, Fraction]:
         origin.setdefault(key, i)
     _TABLES[name] = table
     return table
+
+
+def _table_free(g: int, psi: tuple[int, ...], lam: LamTuple) -> tuple[str, Fraction] | None:
+    """The route that gives a DM row's value without the table, and that
+    value, or None when the row has no such route."""
+    if not any(lam):
+        return "the psi recursion", psi_intersect(PsiKey(g, psi))
+    if 1 not in lam or lam.count(0) != g - 1:
+        return None  # not a single lambda_j
+    j = lam.index(1) + 1
+    if j == g:
+        return "the lambda_g formula", _lambda_g(g, psi)
+    if len(psi) == 1:
+        return "the one-point series", _ONE_POINT[g][g - j]
+    return None
+
+
+def _lambda_g(g: int, psi: tuple[int, ...]) -> Fraction:
+    """psi^a lambda_g on DM(g, n) at top degree, sum(a) = 2g - 3 + n."""
+    return multinomial(psi) * _LAMBDA_G[g]
 
 
 def _lookup(name: str, g: int, n: int, psi: tuple[int, ...] | int, lam: LamTuple) -> Fraction:
@@ -277,6 +307,10 @@ def _eval_uncached(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
     n = len(psi)
     if not any(lam):
         return psi_intersect(PsiKey(g, psi))
+    if lam[-1] == 1 and not any(lam[:-1]):
+        # lambda_g has degree g < 3g - 3 on DM(g, 0) for g >= 2, and DM(1, 0)
+        # is unstable, so a top-degree key here has n >= 1
+        return _lambda_g(g, psi)
     # strip marked points while the reduction stays stable; lambda pulls back
     # under forgetting a point, so it rides along unchanged
     if 2 * g - 2 + (n - 1) > 0:

@@ -32,6 +32,12 @@ def test_psi_command(capsys):
 def test_hodge_command(capsys):
     code, out, _ = run(capsys, "hodge", "--g", "2", "--n", "1", "--psi", "3", "--lambda", "1,0")
     assert code == 0 and out.strip() == "1/480"
+    # without --lambda every lambda exponent is 0
+    code, out, _ = run(capsys, "hodge", "--g", "2", "--n", "1", "--psi", "4")
+    assert code == 0 and out == "1/1152\n"
+    # a lambda_g key that no table row holds, by the lambda_g formula
+    code, out, _ = run(capsys, "hodge", "--g", "3", "--n", "2", "--psi", "3,2", "--lambda", "0,0,1")
+    assert code == 0 and out == "31/96768\n"
 
 
 def test_thm1_command(capsys):
@@ -517,6 +523,30 @@ def test_selftest_reports_a_table_row_that_disagrees_after_normalisation(capsys,
             os.environ.pop("GWVERIFY_DATA_DIR", None)
         else:
             os.environ["GWVERIFY_DATA_DIR"] = old
+        _reset_data_caches()
+
+
+def test_a_row_off_the_one_point_series_is_an_input_error(capsys, tmp_path, monkeypatch):
+    # psi_1^6 lambda_1 on DM(3, 1) doubled: no other row shares its normal
+    # form, so only the one-point series catches it
+    data = tmp_path / "data"
+    shutil.copytree(Path(hodge.__file__).parent / "data", data)
+    dm = data / "tables" / "dm_intersections.json"
+    dm.write_text(dm.read_text().replace('"7/138240"', '"7/69120"', 1))
+    monkeypatch.setenv("GWVERIFY_DATA_DIR", str(data))
+    _reset_data_caches()
+    try:
+        argv = ["hodge", "--g", "3", "--n", "1", "--psi", "6", "--lambda", "1,0,0"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert (
+            "dm_intersections.json: entries[17]: psi=[6] with lambda=[1, 0, 0] has value "
+            "7/69120, but the one-point series gives 7/138240" in err
+        )
+        code, out, _ = run(capsys, "selftest")
+        assert code == 3 and "ERROR" in out and "PASS" not in out
+    finally:
+        monkeypatch.delenv("GWVERIFY_DATA_DIR")
         _reset_data_caches()
 
 

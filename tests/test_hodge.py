@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import shutil
 from fractions import Fraction
 from pathlib import Path
@@ -7,7 +8,13 @@ from pathlib import Path
 import pytest
 
 from gwverify import hodge, ring
-from gwverify.errors import GenusOutOfRange, SchemaError, UnknownMonomial, UnknownRubberKey
+from gwverify.errors import (
+    GenusOutOfRange,
+    SchemaError,
+    UnknownMonomial,
+    UnknownRubberKey,
+    UnstableInput,
+)
 from gwverify.hodge import (
     HodgeMonomial,
     RubberKey,
@@ -130,6 +137,12 @@ def test_dilaton_and_string_stripping():
     assert hval(1, [0, 1], [1]) == Fraction(1, 24)
 
 
+def test_an_unstable_space_is_rejected():
+    # lambda_1 on DM(1, 0): the lambda_g formula relies on n >= 1
+    with pytest.raises(UnstableInput):
+        HodgeMonomial(1, 0, (), (1,))
+
+
 def test_dimension_gate_and_unknown():
     assert hval(3, [0], [7, 0, 0]) == 0  # degree mismatch
     with pytest.raises(UnknownMonomial):
@@ -185,10 +198,24 @@ def _top_degree_keys(max_genus, max_points):
                         yield g, n, psi, lam
 
 
+def test_every_lambda_g_key_is_the_lambda_g_formula():
+    # int psi^a lambda_g = multinom(2g-3+n; a) b_g, b_g typed from
+    # (t/2)/sin(t/2) = 1 + t^2/24 + 7t^4/5760 + 31t^6/967680 + ...
+    from math import factorial, prod
+
+    b = {1: Fraction(1, 24), 2: Fraction(7, 5760), 3: Fraction(31, 967680)}
+    hodge._HODGE_MEMO.clear()
+    keys = [k for k in _top_degree_keys(3, 6) if k[0] and k[3] == (0,) * (k[0] - 1) + (1,)]
+    assert len(keys) == 122
+    for g, n, psi, lam in keys:
+        multinomial = factorial(sum(psi)) // prod(factorial(a) for a in psi)
+        assert hodge_intersect(HodgeMonomial(g, n, psi, lam)) == multinomial * b[g]
+
+
 def test_every_top_degree_key_is_pinned():
     # sha256 over the value or the error of every top-degree monomial with
-    # g <= 3 and n <= 6, from an empty memo: pins the string/dilaton
-    # stripping, the relations and the table lookup together
+    # g <= 3 and n <= 6, from an empty memo: pins the lambda_g formula, the
+    # string/dilaton stripping, the relations and the table lookup together
     import hashlib
 
     hodge._HODGE_MEMO.clear()
@@ -201,7 +228,7 @@ def test_every_top_degree_key_is_pinned():
         lines.append(f"{g} {n} {list(psi)} {list(lam)} {outcome}\n")
     assert len(lines) == 2159
     digest = hashlib.sha256("".join(lines).encode()).hexdigest()
-    assert digest == "37f320f93ec41f18894a077a6cd3a0455c6b7abe223d939adba9b39d68321f13"
+    assert digest == "7bd66c5261f4cece1c5f25f853279151ab80680f76c7e9e84204a4baf85a6b04"
 
 
 # -- mumford products ----------------------------------------------------------
@@ -383,6 +410,8 @@ def test_each_table_is_read_on_first_use(tmp_path, monkeypatch, restore_tables):
     )
     hodge.reset_tables()
     assert rubber_intersect(RubberKey(2, 0, (3, 0))) == Fraction(1, 1440)
+    # a lambda_g key reads no table
+    assert hval(3, [3, 2], [0, 0, 1]) == Fraction(31, 96768)
 
 
 @pytest.mark.parametrize(
@@ -441,7 +470,7 @@ def test_a_table_of_the_wrong_shape_is_a_schema_error(
     table = tmp_path / "data" / "tables" / "dm_intersections.json"
     table.write_text(json.dumps(reshape(json.loads(table.read_text()))))
     with pytest.raises(SchemaError, match=rf"dm_intersections\.json{message}"):
-        hval(1, [0], [1])
+        hval(2, [], [3, 0])
 
 
 def test_a_pure_psi_row_off_the_recursion_is_a_schema_error(
@@ -459,4 +488,32 @@ def test_a_pure_psi_row_off_the_recursion_is_a_schema_error(
         match=rf"entries\[{i}\]: psi=\[4\] without lambda has value 1/576, "
         r"but the psi recursion gives 1/1152",
     ):
-        hval(1, [0], [1])
+        hval(2, [], [3, 0])
+
+
+@pytest.mark.parametrize(
+    "g, psi, lam, route, right",
+    [
+        (2, [3], [1, 0], "the one-point series", "1/480"),
+        (3, [4], [0, 0, 1], "the lambda_g formula", "31/967680"),
+    ],
+)
+def test_a_single_lambda_row_off_its_closed_form_is_a_schema_error(
+    tmp_path, monkeypatch, restore_tables, g, psi, lam, route, right
+):
+    # each doubled row passes the other load checks, as no other row shares
+    # its normal form; tests/test_cli.py doubles psi_1^6 lambda_1 on DM(3, 1)
+    _table_copy(tmp_path, monkeypatch, "dm_intersections.json")
+    table = tmp_path / "data" / "tables" / "dm_intersections.json"
+    payload = json.loads(table.read_text())
+    entries = payload["entries"]
+    (i,) = (i for i, e in enumerate(entries) if (e["g"], e["psi"], e["lambda"]) == (g, psi, lam))
+    doubled = 2 * Fraction(payload["entries"][i]["value"])
+    payload["entries"][i]["value"] = str(doubled)
+    table.write_text(json.dumps(payload))
+    with pytest.raises(
+        SchemaError,
+        match=rf"entries\[{i}\]: psi={re.escape(str(psi))} with lambda={re.escape(str(lam))} "
+        rf"has value {doubled}, but {route} gives {right}",
+    ):
+        hval(2, [], [3, 0])

@@ -451,6 +451,10 @@ def test_product_coefficient_is_the_sum_of_products():
         _sum_of_products([(A1, ES_ONE), (-A1, ES_ONE), (ES_ONE, ES_ONE)])
     with pytest.raises(Inhomogeneous, match="degree 1 and 0"):
         _sum_of_products([(A1, ES_ONE), (ES_ONE, ES_ONE)])
+    # over a denominator of weight degree 1 the numerators have degrees 2 and
+    # 1, and the message gives the degrees of the scalars
+    with pytest.raises(Inhomogeneous, match="degree 1 and 0$"):
+        _sum_of_products([(A1 * A1 / A2, ES_ONE), (ES_ONE, ES_ONE)])
     # as do the top terms of a pairing, in monomial order: lam*x before psi*x
     base = BaseSpace((DMFactor(1, 1), ProjLineFactor()))
     with pytest.raises(Inhomogeneous) as mixed:
