@@ -13,7 +13,8 @@ Gromov-Witten theory", 2000):
                          with log((t/2)/sin(t/2)) = sum_{m>=1} |B_2m| t^(2m) / (2m (2m)!).
 
 Column i = 0 of the series is b_g and column i = g the one-point form
-1/(24^g g!).
+1/(24^g g!).  The module imports nothing but :mod:`fractions`, so it can be
+read and checked on its own.
 """
 
 from __future__ import annotations
