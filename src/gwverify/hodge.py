@@ -1,14 +1,15 @@
 """Mixed psi/lambda intersection numbers for genus <= 3, and the table-backed
 oracle for the degree-1 rubber integrals.
 
-Evaluation pipeline: the dimension gate; a monomial without lambda goes to
-the pure-psi recursion, and one whose lambda part is exactly lambda_g to the
-lambda_g closed form of :mod:`gwverify.closedform`, which reads no table;
-any other is stripped of marked points (string for exponent 0, dilaton for
-exponent 1, by ``psi.string_reduce`` and ``psi.dilaton_reduce``), rewritten
-by the Mumford relations and looked up in the table.  A residual monomial
-that is not in the shipped tables raises :class:`UnknownMonomial`; values
-are never invented.
+Evaluation pipeline: the dimension gate; then the first table-free route
+that answers the monomial (:func:`_table_free`: the pure-psi recursion
+without lambda, the lambda_g formula with lambda_g alone, the one-point
+series of :mod:`gwverify.closedform` with another single lambda_j on
+DM(g, 1)); any other is stripped of marked points (string for exponent 0,
+dilaton for exponent 1, by ``psi.string_reduce`` and ``psi.dilaton_reduce``),
+rewritten by the Mumford relations and looked up in the table.  A residual
+monomial that no route and no table row answers raises
+:class:`UnknownMonomial`; values are never invented.
 
 Relations used (all exact consequences of c(E)c(E*) = 1 plus the vanishing
 of the top Hodge class squared):
@@ -158,10 +159,8 @@ def _table(name: str) -> dict[tuple, Fraction]:
     exponent, a DM row's one exponent per point (stored descending).  A row
     that is not an object of JSON integers and a string value, a row in the
     relation ideal with a nonzero value, a DM row whose value is not its
-    table-free route's (the psi recursion without lambda, the lambda_g
-    formula with lambda_g alone, the one-point series with another single
-    lambda_j on DM(g, 1)), or two rows that disagree after normalisation, is
-    a SchemaError naming the file and the entries.
+    table-free route's (:func:`_table_free`), or two rows that disagree after
+    normalisation, is a SchemaError naming the file and the entries.
     """
     table = _TABLES.get(name)
     if table is not None:
@@ -214,23 +213,20 @@ def _table(name: str) -> dict[tuple, Fraction]:
 
 
 def _table_free(g: int, psi: tuple[int, ...], lam: LamTuple) -> tuple[str, Fraction] | None:
-    """The route that gives a DM row's value without the table, and that
-    value, or None when the row has no such route."""
+    """The table-free route that answers a top-degree monomial, and its
+    value, or None when none does; queries and DM rows both ask here."""
     if not any(lam):
         return "the psi recursion", psi_intersect(PsiKey(g, psi))
     if 1 not in lam or lam.count(0) != g - 1:
         return None  # not a single lambda_j
     j = lam.index(1) + 1
     if j == g:
-        return "the lambda_g formula", _lambda_g(g, psi)
+        # lambda_g has degree g < 3g - 3 on DM(g, 0) for g >= 2, and DM(1, 0)
+        # is unstable, so a top-degree key here has n >= 1: sum(a) = 2g - 3 + n
+        return "the lambda_g formula", multinomial(psi) * _LAMBDA_G[g]
     if len(psi) == 1:
         return "the one-point series", _ONE_POINT[g][g - j]
     return None
-
-
-def _lambda_g(g: int, psi: tuple[int, ...]) -> Fraction:
-    """psi^a lambda_g on DM(g, n) at top degree, sum(a) = 2g - 3 + n."""
-    return multinomial(psi) * _LAMBDA_G[g]
 
 
 def _lookup(name: str, g: int, n: int, psi: tuple[int, ...] | int, lam: LamTuple) -> Fraction:
@@ -304,13 +300,10 @@ def _eval(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
 
 
 def _eval_uncached(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
+    route = _table_free(g, psi, lam)
+    if route is not None:
+        return route[1]
     n = len(psi)
-    if not any(lam):
-        return psi_intersect(PsiKey(g, psi))
-    if lam[-1] == 1 and not any(lam[:-1]):
-        # lambda_g has degree g < 3g - 3 on DM(g, 0) for g >= 2, and DM(1, 0)
-        # is unstable, so a top-degree key here has n >= 1
-        return _lambda_g(g, psi)
     # strip marked points while the reduction stays stable; lambda pulls back
     # under forgetting a point, so it rides along unchanged
     if 2 * g - 2 + (n - 1) > 0:

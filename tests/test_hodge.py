@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 import re
@@ -77,24 +78,26 @@ def test_rewrite_confluence_random():
         1: [(lambda l: l[0] >= 2, lambda l: (None, None))],
     }
     rng = random.Random(23)
-    for _ in range(1000):
-        g = rng.randint(1, 3)
-        lam = tuple(rng.randint(0, 5) for _ in range(g))
-        coeff = Fraction(1)
-        cur = lam
-        while True:
-            applicable = [r for r in rules[g] if r[0](cur)]
-            if not applicable:
-                random_nf = (coeff, cur)
-                break
-            cond, act = rng.choice(applicable)
-            c, new = act(cur)
-            if c is None:
-                random_nf = None
-                break
-            coeff *= c
-            cur = new
-        assert rewrite_lambda(g, lam) == random_nf
+    keys = [lam for g in (1, 2, 3) for lam in itertools.product(range(6), repeat=g)]
+    assert len(keys) == 258
+    for lam in keys:
+        g = len(lam)
+        for _ in range(4):
+            coeff = Fraction(1)
+            cur = lam
+            while True:
+                applicable = [r for r in rules[g] if r[0](cur)]
+                if not applicable:
+                    random_nf = (coeff, cur)
+                    break
+                cond, act = rng.choice(applicable)
+                c, new = act(cur)
+                if c is None:
+                    random_nf = None
+                    break
+                coeff *= c
+                cur = new
+            assert rewrite_lambda(g, lam) == random_nf, lam
 
 
 def test_relation_rewrite_monomial():
@@ -410,8 +413,10 @@ def test_each_table_is_read_on_first_use(tmp_path, monkeypatch, restore_tables):
     )
     hodge.reset_tables()
     assert rubber_intersect(RubberKey(2, 0, (3, 0))) == Fraction(1, 1440)
-    # a lambda_g key reads no table
+    # a lambda_g key, and a single-lambda_j key on DM(g, 1), reads no table
     assert hval(3, [3, 2], [0, 0, 1]) == Fraction(31, 96768)
+    assert hval(3, [6], [1, 0, 0]) == Fraction(7, 138240)
+    assert hval(2, [3], [1, 0]) == Fraction(1, 480)
 
 
 @pytest.mark.parametrize(
