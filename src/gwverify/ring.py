@@ -468,15 +468,30 @@ def _mono_str(base: BaseSpace, m: Mono) -> str:
 
 def geometric_series(a: TautClass, k: int) -> tuple[TautClass, EquivariantScalar]:
     """Write a = a0 - N with a0 the scalar part of ``a``: the sum
-    sum_{j<=k} N^j a0^(k-j), built by Horner in N, and a0^(k+1).  Their
-    quotient is 1/a up to the terms of N^(k+1)."""
+    sum_{j<=k} N^j a0^(k-j) and a0^(k+1).  Their quotient is 1/a up to the
+    terms of N^(k+1).
+
+    Each power N^j is formed once, as N^(j-1) * N, and the powers stop at
+    the first that truncates to 0; the sum adds each power scaled by its
+    power of a0.  N^j has no terms below degree j, so these products shrink
+    as j grows, where a product of the growing series by N would not."""
     a0 = a.scalar_part()
     nilpotent = TautClass.scalar(a.base, a0) - a
-    series, a0_power = TautClass.one(a.base), ES_ONE
-    for _ in range(k):
-        a0_power = a0_power * a0
-        series = series * nilpotent + TautClass.scalar(a.base, a0_power)
-    return series, a0_power * a0
+    n_powers = [TautClass.one(a.base)]  # N^0 .. N^k, or up to the first 0
+    for j in range(1, k + 1):
+        n_power = nilpotent if j == 1 else n_powers[-1] * nilpotent
+        if n_power.is_zero():
+            break
+        n_powers.append(n_power)
+    a0_powers = [ES_ONE]
+    for _ in range(k + 1):
+        a0_powers.append(a0_powers[-1] * a0)
+    # highest power first, as Horner's rule adds them: the first term on a
+    # monomial fixes the weight degree that an Inhomogeneous message names first
+    series = TautClass(a.base)
+    for j in reversed(range(len(n_powers))):
+        series = series + n_powers[j].scale(a0_powers[k - j])
+    return series, a0_powers[k + 1]
 
 
 def tc_invert(a: TautClass) -> TautClass:

@@ -3,7 +3,7 @@ a2, canonical ratios of such forms, and polynomials in the divisor degree.
 
 Every number in the package is built from these types; no floating point is
 used anywhere.  Every polynomial here is stored as a *row*: a tuple of
-coefficients, lowest power first, with no trailing zero.
+integer coefficients, lowest power first, with no trailing zero.
 
 A :class:`WeightPoly` is a binary form of degree d, that is ``a1^d f(t)``
 with ``t = a2/a1``.  It is stored as d, a rational content c and a primitive
@@ -16,8 +16,8 @@ divisions run on the integer rows once the powers of ``a1`` and ``a2`` are
 split off.  An :class:`EquivariantScalar` is a reduced fraction ``num/den``
 of two forms, normalized so that ``gcd(num, den) = 1`` and the denominator
 has content 1.  Canonical form makes equality syntactic.  A
-:class:`DeltaPoly` is a polynomial in the divisor-degree symbol on
-``Fraction`` rows.
+:class:`DeltaPoly` is a polynomial in the divisor-degree symbol: an integer
+row over one positive integer denominator, in lowest terms.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import DenominatorVanishes, DivisionByZero, Inhomogeneous, ParseErr
 Rational = Fraction
 
 Exponent = tuple[int, int]
-Row = tuple  # of int (forms) or Fraction (DeltaPoly)
+Row = tuple  # of int: forms, ring numerators and DeltaPoly
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -588,40 +588,62 @@ def es_eval(a: EquivariantScalar, weights: Iterable[Rational]) -> Fraction:
 # ---------------------------------------------------------------------------
 
 class DeltaPoly:
-    """Exact polynomial in the divisor-degree symbol delta, stored as a row."""
+    """Exact polynomial in the divisor-degree symbol delta: an integer row
+    over one positive integer denominator, in lowest terms, so the
+    coefficient of delta^i is ``row[i] / den``.  Instances are treated as
+    immutable."""
 
-    __slots__ = ("row",)
+    __slots__ = ("row", "den")
 
     def __init__(self, coeffs: Sequence[Fraction | int]):
-        self.row = _trim([Fraction(c) for c in coeffs])
+        coeffs = [Fraction(c) for c in coeffs]
+        den = _int_lcm(*(c.denominator for c in coeffs))
+        p = _delta_poly(_trim([c.numerator * (den // c.denominator) for c in coeffs]), den)
+        self.row, self.den = p.row, p.den
 
     @classmethod
     def delta(cls) -> "DeltaPoly":
-        return cls([0, 1])
+        return _delta_poly((0, 1), 1)
 
     def as_const(self) -> Optional[Fraction]:
         if not self.row:
             return _ZERO
-        return self.row[0] if len(self.row) == 1 else None
+        return Fraction(self.row[0], self.den) if len(self.row) == 1 else None
 
     def __call__(self, value) -> Fraction:
-        out = _ZERO
+        # sum row[i] x^i y^(n-i) / (den y^n) at value = x/y, by Horner in x
         v = Fraction(value)
+        x, y = v.numerator, v.denominator
+        acc, y_power = 0, 1
         for c in reversed(self.row):
-            out = out * v + c
-        return out
+            acc = acc * x + c * y_power
+            y_power *= y
+        return Fraction(acc * y, self.den * y_power)  # y_power is y^(n+1)
 
     @staticmethod
     def _lift(other) -> "DeltaPoly":
-        return other if isinstance(other, DeltaPoly) else DeltaPoly([other])
+        if isinstance(other, DeltaPoly):
+            return other
+        if isinstance(other, int):
+            return _delta_poly((other,) if other else (), 1)
+        c = Fraction(other)
+        return _delta_poly((c.numerator,) if c else (), c.denominator)
 
     def __add__(self, other):
-        return DeltaPoly(_radd(self.row, self._lift(other).row))
+        other = self._lift(other)
+        a, b = self.den, other.den
+        if a == b:
+            return _delta_poly(_radd(self.row, other.row), a)
+        den = _int_lcm(a, b)
+        p, q = den // a, den // b
+        return _delta_poly(
+            _radd(tuple(p * x for x in self.row), tuple(q * x for x in other.row)), den
+        )
 
     __radd__ = __add__
 
     def __neg__(self):
-        return DeltaPoly([-c for c in self.row])
+        return _delta_poly(tuple(-x for x in self.row), self.den)
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -630,36 +652,45 @@ class DeltaPoly:
         return (-self) + other
 
     def __mul__(self, other):
-        return DeltaPoly(_rmul(self.row, self._lift(other).row))
+        other = self._lift(other)
+        return _delta_poly(_rmul(self.row, other.row), self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        c = self._lift(other).as_const()
-        if c is None:
+        c = self._lift(other)
+        if len(c.row) > 1:
             raise ValueError("division only by constants")
-        if not c:
+        if not c.row:
             raise DivisionByZero("division of a delta polynomial by zero")
-        return self * (1 / c)
+        m, d = c.row[0], c.den
+        if m < 0:
+            m, d = -m, -d
+        return _delta_poly(tuple(d * x for x in self.row), self.den * m)
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return power(self, n, DeltaPoly([1]))
+        return power(self, n, _delta_poly((1,), 1))
 
     def __eq__(self, other) -> bool:
-        return self.row == self._lift(other).row
+        other = self._lift(other)
+        return self.row == other.row and self.den == other.den
 
     def __hash__(self):
-        return hash(self.row)
+        # a constant hashes like the Fraction it equals
+        if len(self.row) <= 1:
+            return hash(self.as_const())
+        return hash((self.row, self.den))
 
     def __str__(self) -> str:
         if not self.row:
             return "0"
         parts = []
-        for i, c in enumerate(self.row):
-            if c == 0:
+        for i, x in enumerate(self.row):
+            if x == 0:
                 continue
+            c = Fraction(x, self.den)
             if i == 0:
                 parts.append(str(c))
             else:
@@ -668,3 +699,14 @@ class DeltaPoly:
         return " + ".join(parts).replace("+ -", "- ")
 
     __repr__ = __str__
+
+
+def _delta_poly(row: Row, den: int) -> DeltaPoly:
+    """The polynomial ``row / den`` in lowest terms, for a trimmed integer
+    row and a positive integer den; one gcd."""
+    g = _int_gcd(den, *row)
+    if g != 1:
+        row, den = tuple(x // g for x in row), den // g
+    p = DeltaPoly.__new__(DeltaPoly)
+    p.row, p.den = row, den
+    return p

@@ -172,29 +172,33 @@ def thm1_verdict(n: int, g: int, A_is_zero: bool, kappa_trivial: bool) -> Verdic
 # graph enumeration and filtering
 # ---------------------------------------------------------------------------
 
-def _partitions(total: int, max_part: Optional[int] = None):
-    """Partitions of total as descending tuples."""
+def _partitions(total: int, max_len: int, max_part: Optional[int] = None):
+    """Partitions of total into at most max_len parts, as descending tuples.
+    A first part below total / max_len leaves too much for the other parts,
+    so it is never tried."""
     if total == 0:
         yield ()
         return
     if max_part is None:
         max_part = total
-    for first in range(min(total, max_part), 0, -1):
-        for rest in _partitions(total - first, first):
+    for first in range(min(total, max_part), -(-total // max_len) - 1, -1):
+        for rest in _partitions(total - first, max_len - 1, first):
             yield (first,) + rest
 
 
 def _vertex_shapes(weight: int, loops: int, allowed=None):
     """Multisets of (d_v, labels) vertex decorations absorbing the weight, each
     a descending tuple built once; a vertex with e labels closes e - 1 loops
-    of the graph, and shapes closing more than `loops` are pruned, as are
-    shapes using a decoration that `allowed(d, labels)` rejects."""
+    of the graph, so its labels form a partition of d_v into at most
+    `loops + 1` parts, and no other partition is generated.  Shapes closing
+    more than `loops` are pruned, as are shapes using a decoration that
+    `allowed(d, labels)` rejects."""
     types = sorted(
         (
             (d, ls)
             for d in range(1, weight + 1)
-            for ls in _partitions(d)
-            if len(ls) - 1 <= loops and (allowed is None or allowed(d, ls))
+            for ls in _partitions(d, max_len=loops + 1)
+            if allowed is None or allowed(d, ls)
         ),
         reverse=True,
     )

@@ -17,6 +17,7 @@ from gwverify.ring import (
     _label,
     _mono_degrees,
     _mono_ok,
+    geometric_series,
     hodge_twist_by_genus,
     tc_integrate,
     tc_invert,
@@ -67,6 +68,50 @@ def test_invert_scalar_and_linear():
         (A1 * A1).inverse()
     )
     assert inv == expected
+
+
+def _horner_series(a, k):
+    """sum_{j<=k} N^j a0^(k-j) by Horner in N, and a0^(k+1): the reference
+    for geometric_series."""
+    a0 = a.scalar_part()
+    nilpotent = TautClass.scalar(a.base, a0) - a
+    series, a0_power = TautClass.one(a.base), ES_ONE
+    for _ in range(k):
+        a0_power = a0_power * a0
+        series = series * nilpotent + TautClass.scalar(a.base, a0_power)
+    return series, a0_power * a0
+
+
+@pytest.mark.parametrize("text, base", [
+    # N = x[0]: N^2 truncates to 0, so for k >= 2 the powers stop at N; a0
+    # has the denominator a2
+    ("(a1+a2)/a2 - x[0]", BaseSpace((ProjLineFactor(), ProjLineFactor()))),
+    ("(a1+a2)/a2 - 3*x[0] + (a1-a2)/(a1+a2)*x[1]", BaseSpace((ProjLineFactor(), ProjLineFactor()))),
+    # N^3 has degree 6 > 4, so the powers stop at N^2 for k = 3, 4, 5
+    ("a1 + a2 - a1*lam[0,2]", M21),
+    # N has a degree-1 part: no power below N^4 truncates on M21
+    ("a1 - a2*psi[0,1] - a1*lam[0,1] + a2*lam[0,2]", M21),
+    ("2*a1/a2 - psi[0,1]/a1*a2 + lam[0,1] - 3*x[1]", M32P1),
+    ("a1", M32P1),
+])
+def test_geometric_series_matches_horner(text, base):
+    a = parse_class(text, base)
+    for k in range(base.dim + 2):
+        series, a0_power = geometric_series(a, k)
+        ref_series, ref_power = _horner_series(a, k)
+        assert series == ref_series and a0_power == ref_power, (text, k)
+
+
+def test_geometric_series_matches_horner_random():
+    rng = random.Random(41)
+    gens = [parse_class(s, M32P1) for s in ("psi[0,1]", "psi[0,2]", "lam[0,1]", "lam[0,3]", "x[1]")]
+    for _ in range(12):
+        a = TautClass.scalar(M32P1, A1.scale(rng.randint(1, 4)) / A2)
+        for g in gens:
+            if rng.random() < 0.6:
+                a = a + g.scale(Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+        k = rng.randint(0, M32P1.dim)
+        assert geometric_series(a, k) == _horner_series(a, k)
 
 
 def test_invert_requires_scalar_part():

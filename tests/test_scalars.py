@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gwverify.errors import DenominatorVanishes, DivisionByZero, Inhomogeneous
 from gwverify.exprs import parse_scalar
@@ -419,3 +420,93 @@ def test_delta_poly_edge_cases_raise():
         delta / 0
     assert delta ** 0 == 1 and (delta * 2) / 4 == delta / 2
     assert (delta + 1) ** 3 == DeltaPoly([1, 3, 3, 1])
+
+
+def test_delta_poly_constant_hashes_like_its_fraction():
+    for c in (Fraction(5), Fraction(-1, 3), Fraction(0)):
+        assert DeltaPoly([c]) == c and hash(DeltaPoly([c])) == hash(c)
+    assert {Fraction(5): 1}.get(DeltaPoly([5])) == 1
+    assert {Fraction(1, 3): 1}.get(DeltaPoly([Fraction(2, 6)])) == 1
+    assert {0: 1}.get(DeltaPoly([0, 0])) == 1
+
+
+# -- DeltaPoly against plain Fraction lists, lowest power first ----------------
+
+def _dp_trim(cs):
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _dp_add(p, q):
+    n = max(len(p), len(q))
+    return _dp_trim(
+        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
+    )
+
+
+def _dp_mul(p, q):
+    out = [Fraction(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _dp_trim(out)
+
+
+def _dp_eval(p, v):
+    out = Fraction(0)
+    for c in reversed(p):
+        out = out * v + c
+    return out
+
+
+def _dp_str(p):
+    parts = []
+    for i, c in enumerate(p):
+        if c == 0:
+            continue
+        if i == 0:
+            parts.append(str(c))
+        else:
+            mono = "delta" if i == 1 else f"delta^{i}"
+            parts.append(mono if c == 1 else f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") if parts else "0"
+
+
+_FRACTIONS = st.builds(Fraction, st.integers(-30, 30), st.integers(1, 12))
+_COEFFS = st.lists(_FRACTIONS, max_size=5)
+
+
+def _check_delta_poly(got, coeffs):
+    """got is the canonical DeltaPoly of the Fraction list coeffs."""
+    want = _dp_trim(coeffs)
+    assert got.den > 0 and math.gcd(got.den, *got.row) == 1
+    assert [Fraction(x, got.den) for x in got.row] == want
+    assert got == DeltaPoly(want) and hash(got) == hash(DeltaPoly(want))
+    assert str(got) == _dp_str(want)
+    for v in (0, 1, -2, 7, Fraction(3, 5), Fraction(-7, 4)):
+        assert got(v) == _dp_eval(want, Fraction(v))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_COEFFS, _COEFFS, _FRACTIONS, st.integers(0, 3))
+def test_delta_poly_matches_fraction_rows(p, q, c, n):
+    P, Q = DeltaPoly(p), DeltaPoly(q)
+    _check_delta_poly(P, p)
+    _check_delta_poly(P + Q, _dp_add(p, q))
+    _check_delta_poly(P - Q, _dp_add(p, [-x for x in q]))
+    _check_delta_poly(-P, [-x for x in p])
+    _check_delta_poly(P * Q, _dp_mul(p, q))
+    _check_delta_poly(P * c, [x * c for x in p])
+    _check_delta_poly(c * P, [x * c for x in p])
+    _check_delta_poly(c + P, _dp_add(p, [c]))
+    _check_delta_poly(c - P, _dp_add([c], [-x for x in p]))
+    _check_delta_poly(P * c.numerator, [x * c.numerator for x in p])
+    if c:
+        _check_delta_poly(P / c, [x / c for x in p])
+    power = [Fraction(1)]
+    for _ in range(n):
+        power = _dp_mul(power, p)
+    _check_delta_poly(P**n, power)
+    assert (P == c) == (_dp_trim(p) == _dp_trim([c]))

@@ -344,3 +344,21 @@ def test_example3_numeric_identity_is_checked():
         report = assemble_example(3, delta)
         (item,) = [i for i in report.items if i.label == label]
         assert item.ok is True, report.to_text()
+
+
+def _all_partitions(total, max_part=None):
+    """Every partition of total, descending: the reference for the bounded
+    generator."""
+    if total == 0:
+        yield ()
+        return
+    for first in range(min(total, max_part or total), 0, -1):
+        for rest in _all_partitions(total - first, first):
+            yield (first,) + rest
+
+
+def test_bounded_partitions_match_the_filtered_full_list():
+    for total in range(13):
+        for k in range(1, 5):
+            expected = [ls for ls in _all_partitions(total) if len(ls) <= k]
+            assert list(sumformula._partitions(total, max_len=k)) == expected, (total, k)
