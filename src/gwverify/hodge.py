@@ -303,18 +303,16 @@ def _eval_uncached(g: int, psi: tuple[int, ...], lam: LamTuple) -> Fraction:
     route = _table_free(g, psi, lam)
     if route is not None:
         return route[1]
-    n = len(psi)
-    # strip marked points while the reduction stays stable; lambda pulls back
-    # under forgetting a point, so it rides along unchanged
-    if 2 * g - 2 + (n - 1) > 0:
-        key = PsiKey(g, psi)
-        if 0 in psi:
-            terms = string_reduce(key)
-            return sum((m * _eval(g, k.exponents, lam) for m, k in terms), Fraction(0))
-        if 1 in psi:
-            factor, reduced = dilaton_reduce(key)
-            return factor * _eval(g, reduced.exponents, lam)
-    return _lookup("dm_intersections.json", g, n, psi, lam)
+    # strip a marked point, with lambda riding along (it pulls back); the
+    # result is stable, as _table_free answers every key with 2g - 2 + n = 1
+    key = PsiKey(g, psi)
+    if 0 in psi:
+        terms = string_reduce(key)
+        return sum((m * _eval(g, k.exponents, lam) for m, k in terms), Fraction(0))
+    if 1 in psi:
+        factor, reduced = dilaton_reduce(key)
+        return factor * _eval(g, reduced.exponents, lam)
+    return _lookup("dm_intersections.json", g, len(psi), psi, lam)
 
 
 def rubber_intersect(key: RubberKey) -> Fraction:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Optional, Sequence
 
 from .chern import (
@@ -186,36 +185,6 @@ def _partitions(total: int, max_len: int, max_part: Optional[int] = None):
             yield (first,) + rest
 
 
-def _vertex_shapes(weight: int, loops: int, allowed=None):
-    """Multisets of (d_v, labels) vertex decorations absorbing the weight, each
-    a descending tuple built once; a vertex with e labels closes e - 1 loops
-    of the graph, so its labels form a partition of d_v into at most
-    `loops + 1` parts, and no other partition is generated.  Shapes closing
-    more than `loops` are pruned, as are shapes using a decoration that
-    `allowed(d, labels)` rejects."""
-    types = sorted(
-        (
-            (d, ls)
-            for d in range(1, weight + 1)
-            for ls in _partitions(d, max_len=loops + 1)
-            if allowed is None or allowed(d, ls)
-        ),
-        reverse=True,
-    )
-
-    def rec(start, left, loops_left):
-        if left == 0:
-            yield ()
-            return
-        for i in range(start, len(types)):
-            d, labels = types[i]
-            if d <= left and len(labels) - 1 <= loops_left:
-                for rest in rec(i, left - d, loops_left - len(labels) + 1):
-                    yield (types[i],) + rest
-
-    return rec(0, weight, loops)
-
-
 def enumerate_graphs(
     g: int,
     AdotV: int,
@@ -229,10 +198,14 @@ def enumerate_graphs(
     it has A.V components, each met with weight one, which stay
     distinguishable.
 
-    With a per-V-vertex predicate ``keep(vertex, labels)``, only the graphs
-    whose every V-vertex passes it are built, in the same order as in the
-    full list: a genus no vertex decoration may take is never assigned, and
-    a decoration no genus can pass never enters a shape."""
+    Each component has one list of V-vertex types (vertex, labels, cost),
+    degree and labels descending, then genus ascending; the cost gv + e - 1
+    of a genus-gv vertex with e labels is its genus plus the loops it
+    closes.  One recursion draws a multiset of types per component, in list
+    order, from one shared genus budget; the X-vertex takes what is left.
+    A predicate ``keep(vertex, labels)`` filters the type lists once, so
+    only the graphs whose every V-vertex passes it are built, in the same
+    order as in the full list."""
     if AdotV < 0:
         raise ValueError("A.V must be nonnegative")
     if g > MAX_GRAPH_GENUS or AdotV > MAX_GRAPH_WEIGHT:
@@ -259,44 +232,35 @@ def enumerate_graphs(
     else:
         weights = [AdotV]
         comps = [0]
-    # one frozen vertex per decoration, shared by every graph that uses it
-    v_pool: dict = {}
-
-    def vertex(gv, d, comp):
-        key = (gv, d, comp)
-        return v_pool.get(key) or v_pool.setdefault(key, GraphVertex(gv, d, 0, comp))
-
-    def allowed(comp):
-        if keep is None:
-            return None
-        return lambda d, labels: any(keep(vertex(gv, d, comp), labels) for gv in range(g + 1))
-
+    types: list[list] = []
+    for w, comp in zip(weights, comps):
+        types.append([])
+        for d in range(w, 0, -1):
+            by_genus = [GraphVertex(gv, d, 0, comp) for gv in range(g + 1)]
+            # e labels close e - 1 loops: at most g + 1 labels, genus <= g + 1 - e
+            types[-1] += [
+                (vertex, labels, vertex.genus + len(labels) - 1)
+                for labels in _partitions(d, max_len=g + 1)
+                for vertex in by_genus[: g + 2 - len(labels)]
+                if keep is None or keep(vertex, labels)
+            ]
     graphs: list[BipartiteGraph] = []
-    for shapes in product(*(_vertex_shapes(w, g, allowed(c)) for w, c in zip(weights, comps))):
-        vertices = [
-            (comp, d, labels)
-            for comp, shape in zip(comps, shapes)
-            for d, labels in shape
-        ]
-        budget = g - sum(len(labels) - 1 for _, _, labels in vertices)
-        if budget < 0:
-            continue
-        labels = tuple(labels for _, _, labels in vertices)
 
-        # genera rise weakly along each run of identical vertices, so each
-        # graph appears once; the X-vertex takes the genus left over
-        def genera(i, left, acc):
-            if i == len(vertices):
-                graphs.append(BipartiteGraph(GraphVertex(left, 1, k), tuple(acc), labels))
+    def draw(c, start, left, budget, vertices, labels):
+        # component c is full when left is 0 (c = -1 starts the first); no
+        # draw takes a type before the last one, so each multiset comes once
+        if left == 0:
+            c += 1
+            if c == len(types):
+                graphs.append(BipartiteGraph(GraphVertex(budget, 1, k), vertices, labels))
                 return
-            comp, d, ls = vertices[i]
-            lo = acc[-1].genus if i and vertices[i] == vertices[i - 1] else 0
-            for gv in range(lo, left + 1):
-                v = vertex(gv, d, comp)
-                if keep is None or keep(v, ls):
-                    genera(i + 1, left - gv, acc + [v])
+            start, left = 0, weights[c]
+        for i in range(start, len(types[c])):
+            vertex, ls, cost = types[c][i]
+            if vertex.degree <= left and cost <= budget:
+                draw(c, i, left - vertex.degree, budget - cost, vertices + (vertex,), labels + (ls,))
 
-        genera(0, budget, [])
+    draw(-1, 0, 0, g, (), ())
     graphs.sort(key=BipartiteGraph.describe)
     for graph in graphs:
         graph.validate(g, AdotV, k)

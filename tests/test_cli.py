@@ -447,6 +447,7 @@ def test_readme_cli_block(capsys, monkeypatch):
     lines = [line for line in block.splitlines() if line.startswith("gwverify ")]
     assert lines
     monkeypatch.chdir(root)
+    rationals = 0
     for line in lines:
         command, _, comment = line.partition("#")
         code, out, _ = run(capsys, *shlex.split(command)[1:])
@@ -454,6 +455,8 @@ def test_readme_cli_block(capsys, monkeypatch):
         comment = comment.strip()
         if re.fullmatch(r"-?\d+(/\d+)?", comment):
             assert out == comment + "\n", line
+            rationals += 1
+    assert rationals  # the comment pattern still matches the block's rationals
 
 
 def test_unknown_monomial_is_an_input_error(capsys):

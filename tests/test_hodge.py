@@ -201,6 +201,16 @@ def _top_degree_keys(max_genus, max_points):
                         yield g, n, psi, lam
 
 
+def test_every_key_next_to_an_unstable_space_is_table_free():
+    # _eval_uncached strips a point without checking that the result is
+    # stable; that is safe because every top-degree key with 2g - 2 + n = 1
+    # (DM(0, 3), and psi or lambda_1 on DM(1, 1)) has a table-free route
+    keys = [key for key in _top_degree_keys(1, 3) if 2 * key[0] - 2 + key[1] == 1]
+    assert len(keys) == 3
+    for g, _, psi, lam in keys:
+        assert hodge._table_free(g, psi, lam) is not None, (g, psi, lam)
+
+
 def test_every_lambda_g_key_is_the_lambda_g_formula():
     # int psi^a lambda_g = multinom(2g-3+n; a) b_g, b_g typed from
     # (t/2)/sin(t/2) = 1 + t^2/24 + 7t^4/5760 + 31t^6/967680 + ...

@@ -175,6 +175,27 @@ def test_enumeration_matches_brute_force():
                 assert set(keys) == _brute_force_keys(g, AdotV, 1, components), (g, AdotV, components)
 
 
+def test_v_vertices_come_in_canonical_order():
+    # the order the reports print: components ascending; within one,
+    # (degree, labels) descending, and genus not decreasing along a run of
+    # equal (component, degree, labels); each label tuple descending
+    for g in range(4):
+        for AdotV in range(9):
+            for components in sorted({1, AdotV}):
+                for k in range(3):
+                    for graph in enumerate_graphs(g, AdotV, k, components):
+                        rows = [
+                            (v.component, v.degree, ls, v.genus)
+                            for v, ls in zip(graph.v_vertices, graph.labels)
+                        ]
+                        for (c, d, ls, gv), (c2, d2, ls2, gv2) in zip(rows, rows[1:]):
+                            assert c <= c2, graph
+                            if c == c2:
+                                assert (d, ls) >= (d2, ls2), graph
+                                assert (d, ls) != (d2, ls2) or gv <= gv2, graph
+                        assert all(list(ls) == sorted(ls, reverse=True) for ls in graph.labels)
+
+
 def test_surviving_graphs_match_the_filter():
     for example in (2, 3):
         for delta in range(1, 13):
