@@ -9,11 +9,11 @@ identities rather than per-degree samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Optional, Union
 
+from ._record import Frozen, set_field
 from .errors import InclusionUndeclared, InternalMismatch, ResourceBound
 from .hodge import HodgeMonomial, hodge_intersect
 from .scalars import DeltaPoly
@@ -23,8 +23,7 @@ Coeff = Union[Fraction, DeltaPoly]
 MAX_DIM = 6  # ambient projective spaces are P1..P6
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(Frozen):
     """Total Chern class of a space with monogenerated cohomology.
 
     ``total_chern[i]`` is the coefficient of x^i; ``degree_map`` is the value
@@ -33,11 +32,21 @@ class ChernData:
     was built as a divisor of class (multiple * x) in an ambient space.
     """
 
-    name: str
-    dim: int
-    total_chern: tuple
-    degree_map: Coeff
-    divisor_multiple: Optional[Coeff] = None
+    __slots__ = _fields = ("name", "dim", "total_chern", "degree_map", "divisor_multiple")
+
+    def __init__(
+        self,
+        name: str,
+        dim: int,
+        total_chern: tuple,
+        degree_map: Coeff,
+        divisor_multiple: Optional[Coeff] = None,
+    ):
+        set_field(self, "name", name)
+        set_field(self, "dim", dim)
+        set_field(self, "total_chern", total_chern)
+        set_field(self, "degree_map", degree_map)
+        set_field(self, "divisor_multiple", divisor_multiple)
 
     def c(self, i: int):
         if i < 0:

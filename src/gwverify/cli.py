@@ -12,6 +12,7 @@ packaged data-file root.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from collections.abc import Iterator
 
@@ -142,7 +143,10 @@ def cmd_localize(args) -> VerificationReport:
         if spec.vanishes is not None:
             report.add(f"locus {spec.label}", f"vanishes ({spec.vanishes})", spec.source)
             continue
-        report.add(f"locus {spec.label}", str(locus_contribution(spec)), spec.source)
+        contribution = locus_contribution(spec)
+        constant = contribution.is_constant()
+        value = str(contribution) if constant is None else rat_to_str(constant)
+        report.add(f"locus {spec.label}", value, spec.source)
     expected = rat_from_str(args.expect) if args.expect else problem.expected
     try:
         total = problem_total(problem)
@@ -280,14 +284,24 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    code = 0
     try:
         out = args.fn(args)
         if isinstance(out, VerificationReport):
-            print(out.to_json() if args.json else out.to_text())
-            return {"PASS": 0, "FAIL": 1, "ERROR": 3}[out.status]
+            code = {"PASS": 0, "FAIL": 1, "ERROR": 3}[out.status]
+            out = [out.to_json() if args.json else out.to_text()]
         for line in out:
             print(line)
-        return 0
+        sys.stdout.flush()  # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`gwverify graphs ... | head`): end with
+        # the command's status, and point stdout at devnull so that the
+        # flush at exit writes the rest of the buffer there
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
     except (ExpectationMismatch, NonConstantSum) as exc:
         # both subclass ValueError, but they are failed checks, not usage errors
         print(f"check failed: {exc}", file=sys.stderr)

@@ -25,10 +25,10 @@ rewrite coefficient when its table is read), and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from ._data import json_int, load_json, require
+from ._record import Frozen, set_field
 from .closedform import lambda_g_constant, multinomial, one_point_series
 from .errors import (
     GenusOutOfRange,
@@ -49,22 +49,22 @@ _LAMBDA_G = tuple(lambda_g_constant(g) for g in range(MAX_GENUS + 1))
 _ONE_POINT = one_point_series(MAX_GENUS)
 
 
-@dataclass(frozen=True)
-class HodgeMonomial:
+class HodgeMonomial(Frozen):
     """psi_1^{a_1}...psi_n^{a_n} lambda_1^{e_1}...lambda_g^{e_g} on DM(g, n)."""
 
-    g: int
-    n: int
-    psi: tuple[int, ...]
-    lam: tuple[int, ...]
+    __slots__ = _fields = ("g", "n", "psi", "lam")
 
-    def __post_init__(self):
-        if len(self.psi) != self.n or len(self.lam) != self.g:
+    def __init__(self, g: int, n: int, psi: tuple[int, ...], lam: tuple[int, ...]):
+        if len(psi) != n or len(lam) != g:
             raise ValueError("exponent vectors must match (g, n)")
-        if any(a < 0 for a in self.psi) or any(e < 0 for e in self.lam):
+        if any(a < 0 for a in psi) or any(e < 0 for e in lam):
             raise ValueError("exponents must be nonnegative")
-        if 2 * self.g - 2 + self.n <= 0:
-            raise UnstableInput(f"(g, n) = ({self.g}, {self.n}) is unstable")
+        if 2 * g - 2 + n <= 0:
+            raise UnstableInput(f"(g, n) = ({g}, {n}) is unstable")
+        set_field(self, "g", g)
+        set_field(self, "n", n)
+        set_field(self, "psi", psi)
+        set_field(self, "lam", lam)
 
     @property
     def dim(self) -> int:
@@ -75,20 +75,21 @@ class HodgeMonomial:
         return sum(self.psi) + sum((i + 1) * e for i, e in enumerate(self.lam))
 
 
-@dataclass(frozen=True)
-class RubberKey:
+class RubberKey(Frozen):
     """A monomial in the target psi-class and lambda-classes on a degree-1
     rubber space with the ((1),(1)) contact pattern."""
 
-    g: int
-    psi: int
-    lam: tuple[int, ...]
-    n: int = 0  # extra marked points; only used in genus 0
+    __slots__ = _fields = ("g", "psi", "lam", "n")
 
-    def __post_init__(self):
-        check_rubber(self.g, self.n)
-        if len(self.lam) != self.g:
+    # n: extra marked points; only used in genus 0
+    def __init__(self, g: int, psi: int, lam: tuple[int, ...], n: int = 0):
+        check_rubber(g, n)
+        if len(lam) != g:
             raise ValueError("lambda exponent vector must have length g")
+        set_field(self, "g", g)
+        set_field(self, "psi", psi)
+        set_field(self, "lam", lam)
+        set_field(self, "n", n)
 
     @property
     def dim(self) -> int:

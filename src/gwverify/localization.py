@@ -32,12 +32,12 @@ the sum of the term contributions.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
 from ._data import json_bool, json_int, json_str, load_json, read_json, require
+from ._record import Frozen, set_field
 from .errors import (
     BaseMismatch,
     DenominatorVanishes,
@@ -73,32 +73,70 @@ BUILTIN_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class LocusTerm:
-    base: BaseSpace
-    multiplicity: Fraction
-    insertion: TautClass
-    obstruction: TautClass
-    deformation: TautClass
+class LocusTerm(Frozen):
+    __slots__ = _fields = ("base", "multiplicity", "insertion", "obstruction", "deformation")
+
+    def __init__(
+        self,
+        base: BaseSpace,
+        multiplicity: Fraction,
+        insertion: TautClass,
+        obstruction: TautClass,
+        deformation: TautClass,
+    ):
+        set_field(self, "base", base)
+        set_field(self, "multiplicity", multiplicity)
+        set_field(self, "insertion", insertion)
+        set_field(self, "obstruction", obstruction)
+        set_field(self, "deformation", deformation)
 
 
-@dataclass(frozen=True, eq=False)
-class FixedLocusSpec:
-    label: str
-    source: str = ""
-    vanishes: Optional[str] = None
-    terms: tuple[LocusTerm, ...] = ()
-    where: str = ""  # "<file> locus '<label>'", the prefix of errors found after loading
+class FixedLocusSpec(Frozen):
+    """One fixed locus of a diagram.  Specs compare and hash by identity,
+    and are weakly referenceable: the contribution cache keys on them."""
+
+    _fields = ("label", "source", "vanishes", "terms", "where")
+    __slots__ = (*_fields, "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    # where: "<file> locus '<label>'", the prefix of errors found after loading
+    def __init__(
+        self,
+        label: str,
+        source: str = "",
+        vanishes: Optional[str] = None,
+        terms: tuple[LocusTerm, ...] = (),
+        where: str = "",
+    ):
+        set_field(self, "label", label)
+        set_field(self, "source", source)
+        set_field(self, "vanishes", vanishes)
+        set_field(self, "terms", terms)
+        set_field(self, "where", where)
 
 
-@dataclass(frozen=True)
-class LocalizationProblem:
-    label: str
-    loci: tuple[FixedLocusSpec, ...]  # in label order: the order of sums and reports
-    symmetry_multiplier: Fraction = Fraction(1)
-    weight_swap: bool = False
-    expected: Optional[Fraction] = None
-    source: str = ""
+class LocalizationProblem(Frozen):
+    # loci are in label order: the order of sums and reports
+    __slots__ = _fields = (
+        "label", "loci", "symmetry_multiplier", "weight_swap", "expected", "source"
+    )
+
+    def __init__(
+        self,
+        label: str,
+        loci: tuple[FixedLocusSpec, ...],
+        symmetry_multiplier: Fraction = Fraction(1),
+        weight_swap: bool = False,
+        expected: Optional[Fraction] = None,
+        source: str = "",
+    ):
+        set_field(self, "label", label)
+        set_field(self, "loci", loci)
+        set_field(self, "symmetry_multiplier", symmetry_multiplier)
+        set_field(self, "weight_swap", weight_swap)
+        set_field(self, "expected", expected)
+        set_field(self, "source", source)
 
 
 def _term_contribution(term: LocusTerm) -> EquivariantScalar:

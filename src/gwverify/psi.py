@@ -23,10 +23,10 @@ state the two equations on keys for the Hodge oracle and the closure checks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
+from ._record import Frozen, set_field
 from .errors import (
     NoUnitExponent,
     NoZeroExponent,
@@ -39,17 +39,17 @@ MAX_GENUS = 6
 MAX_POINTS = 12
 
 
-@dataclass(frozen=True)
-class PsiKey:
+class PsiKey(Frozen):
     """A genus together with a sorted multiset of psi exponents."""
 
-    genus: int
-    exponents: tuple[int, ...]
+    __slots__ = _fields = ("genus", "exponents")
 
-    def __post_init__(self):
-        object.__setattr__(self, "exponents", tuple(sorted(self.exponents, reverse=True)))
-        if self.genus < 0 or any(a < 0 for a in self.exponents):
+    def __init__(self, genus: int, exponents: tuple[int, ...]):
+        exponents = tuple(sorted(exponents, reverse=True))
+        if genus < 0 or any(a < 0 for a in exponents):
             raise ValueError("genus and exponents must be nonnegative")
+        set_field(self, "genus", genus)
+        set_field(self, "exponents", exponents)
 
     @property
     def n(self) -> int:

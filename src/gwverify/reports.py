@@ -3,16 +3,16 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Optional
 
+from ._record import Record
 
-@dataclass
-class ReportItem:
-    label: str
-    value: str
-    citation: str = ""
-    expected: Optional[str] = None
+
+class ReportItem(Record):
+    __slots__ = _fields = ("label", "value", "citation", "expected")
+
+    def __init__(self, label: str, value: str, citation: str = "", expected: Optional[str] = None):
+        self.label, self.value, self.citation, self.expected = label, value, citation, expected
 
     @property
     def ok(self) -> Optional[bool]:
@@ -21,11 +21,15 @@ class ReportItem:
         return self.value == self.expected
 
 
-@dataclass
-class VerificationReport:
-    command: str
-    items: list[ReportItem] = field(default_factory=list)
-    error: Optional[str] = None
+class VerificationReport(Record):
+    __slots__ = _fields = ("command", "items", "error")
+
+    def __init__(
+        self, command: str, items: Optional[list[ReportItem]] = None, error: Optional[str] = None
+    ):
+        self.command = command
+        self.items = [] if items is None else items
+        self.error = error
 
     def add(self, label: str, value, citation: str = "", expected=None) -> None:
         self.items.append(

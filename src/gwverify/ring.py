@@ -39,7 +39,6 @@ factors with the lambda relations, so it checks the twist the diagrams use.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
@@ -48,6 +47,7 @@ from operator import add, le, mul, sub
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
+from ._record import Frozen, set_field
 from .errors import BaseMismatch, GenusOutOfRange, NonInvertible
 from .hodge import (
     MAX_GENUS,
@@ -82,11 +82,12 @@ Sums = dict[Mono, list]  # monomial -> [weight degree, row as a list, degrees]
 Gen = tuple[str, Optional[int], int]
 
 
-class Factor:
+class Factor(Frozen):
     """A factor of the base space.  ``gens`` names its generators in
     exponent-slot order as (name, index or None, degree); the ring reads its
     slots, degrees and labels from them.  ``integral(e)`` pairs a monomial of
-    the factor's top degree against it."""
+    the factor's top degree against it.  Factors keep an instance
+    ``__dict__``, where the cached properties store their values."""
 
     gens: tuple[Gen, ...] = ()
 
@@ -102,13 +103,20 @@ def _lam_gens(g: int) -> tuple[Gen, ...]:
     return tuple(("lam", j, j) for j in range(1, g + 1))
 
 
-@dataclass(frozen=True)
 class DMFactor(Factor):
-    g: int
-    n: int
+    __slots__ = _fields = ("g", "n")
 
-    def __post_init__(self):
-        check_dm(self.g, self.n)
+    def __init__(self, g: int, n: int):
+        check_dm(g, n)
+        set_field(self, "g", g)
+        set_field(self, "n", n)
+
+    def __eq__(self, other):  # read by BaseSpace.__eq__
+        if other.__class__ is self.__class__:
+            return self.g == other.g and self.n == other.n
+        return NotImplemented
+
+    __hash__ = Frozen.__hash__
 
     @property
     def dim(self) -> int:
@@ -125,7 +133,6 @@ class DMFactor(Factor):
         return f"DM({self.g},{self.n})"
 
 
-@dataclass(frozen=True)
 class ProjLineFactor(Factor):
     gens = (("x", None, 1),)
 
@@ -140,7 +147,6 @@ class ProjLineFactor(Factor):
         return "P1"
 
 
-@dataclass(frozen=True)
 class PointFactor(Factor):
     @property
     def dim(self) -> int:
@@ -153,16 +159,23 @@ class PointFactor(Factor):
         return "pt"
 
 
-@dataclass(frozen=True)
 class RubberFactor(Factor):
     """Degree-1 rubber space with the ((1),(1)) contact pattern; carries the
     target psi-class and the lambda-classes of its genus-g Hodge bundle."""
 
-    g: int
-    n: int = 0
+    __slots__ = _fields = ("g", "n")
 
-    def __post_init__(self):
-        check_rubber(self.g, self.n)
+    def __init__(self, g: int, n: int = 0):
+        check_rubber(g, n)
+        set_field(self, "g", g)
+        set_field(self, "n", n)
+
+    def __eq__(self, other):  # read by BaseSpace.__eq__
+        if other.__class__ is self.__class__:
+            return self.g == other.g and self.n == other.n
+        return NotImplemented
+
+    __hash__ = Frozen.__hash__
 
     @property
     def dim(self) -> int:
@@ -179,20 +192,29 @@ class RubberFactor(Factor):
         return f"Rubber({self.g})" if self.n == 0 else f"Rubber({self.g},{self.n})"
 
 
-@dataclass(frozen=True)
-class BaseSpace:
+class BaseSpace(Frozen):
     """A product of factors; ``spans`` holds the (start, stop) range of each
     factor's exponent slots in a monomial, and ``dims`` each factor's
-    dimension."""
+    dimension.  Both are derived, so only ``factors`` is compared."""
 
-    factors: tuple[Factor, ...]
-    spans: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
-    dims: Degrees = field(init=False, repr=False, compare=False)
+    __slots__ = ("factors", "spans", "dims")
+    _fields = ("factors",)
 
-    def __post_init__(self):
-        ends = tuple(accumulate((len(f.gens) for f in self.factors), initial=0))
-        object.__setattr__(self, "spans", tuple(zip(ends, ends[1:])))
-        object.__setattr__(self, "dims", tuple(f.dim for f in self.factors))
+    def __init__(self, factors: tuple[Factor, ...]):
+        ends = tuple(accumulate((len(f.gens) for f in factors), initial=0))
+        set_field(self, "factors", factors)
+        set_field(self, "spans", tuple(zip(ends, ends[1:])))
+        set_field(self, "dims", tuple(f.dim for f in factors))
+
+    # The ring compares bases on every operation, so bases, and the factors
+    # with fields, compare their fields directly rather than through
+    # Frozen's loop over ``_fields``.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return other is self or self.factors == other.factors
+        return NotImplemented
+
+    __hash__ = Frozen.__hash__
 
     @property
     def dim(self) -> int:

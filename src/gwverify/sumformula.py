@@ -8,10 +8,10 @@ three worked examples assembled from the other modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+from ._record import Frozen, set_field
 from .chern import (
     degree_correction_genus3,
     euler_char,
@@ -31,24 +31,37 @@ MAX_GRAPH_GENUS = 3
 MAX_GRAPH_WEIGHT = 12
 
 
-@dataclass(frozen=True)
-class GraphVertex:
-    genus: int
-    degree: int        # homology degree for the X side, fiber degree for the V side
-    marks: int
-    component: int = 0  # connected component of the divisor (V side)
+class GraphVertex(Frozen):
+    """``degree`` is the homology degree for the X side, the fiber degree
+    for the V side; ``component`` is the connected component of the divisor
+    (V side)."""
+
+    __slots__ = _fields = ("genus", "degree", "marks", "component")
+
+    def __init__(self, genus: int, degree: int, marks: int, component: int = 0):
+        set_field(self, "genus", genus)
+        set_field(self, "degree", degree)
+        set_field(self, "marks", marks)
+        set_field(self, "component", component)
 
 
-@dataclass(frozen=True)
-class BipartiteGraph:
+class BipartiteGraph(Frozen):
     """One decorated degeneration graph: at most one X-vertex joined to
-    V-vertices by edges with positive contact labels (grouped per V-vertex).
-    A degree-0 configuration that sinks entirely into the divisor has no
-    X-vertex at all."""
+    V-vertices by edges with positive contact labels (grouped per V-vertex,
+    each group sorted descending).  A degree-0 configuration that sinks
+    entirely into the divisor has no X-vertex at all."""
 
-    x_vertex: Optional[GraphVertex]
-    v_vertices: tuple[GraphVertex, ...]
-    labels: tuple[tuple[int, ...], ...]  # per V-vertex, sorted descending
+    __slots__ = _fields = ("x_vertex", "v_vertices", "labels")
+
+    def __init__(
+        self,
+        x_vertex: Optional[GraphVertex],
+        v_vertices: tuple[GraphVertex, ...],
+        labels: tuple[tuple[int, ...], ...],
+    ):
+        set_field(self, "x_vertex", x_vertex)
+        set_field(self, "v_vertices", v_vertices)
+        set_field(self, "labels", labels)
 
     @property
     def edge_count(self) -> int:
@@ -129,10 +142,12 @@ GUARANTEED_PRIMARY_ONLY = "guaranteed_primary_only"
 NOT_GUARANTEED = "not_guaranteed"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    status: str
-    counter_example: Optional[int] = None
+class Verdict(Frozen):
+    __slots__ = _fields = ("status", "counter_example")
+
+    def __init__(self, status: str, counter_example: Optional[int] = None):
+        set_field(self, "status", status)
+        set_field(self, "counter_example", counter_example)
 
     def __str__(self) -> str:
         if self.counter_example is None:

@@ -4,8 +4,12 @@ import os
 import re
 import shlex
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
+
+import pytest
 
 from gwverify import cli, hodge, localization
 from gwverify.cli import main
@@ -85,6 +89,19 @@ def test_localize_command(capsys):
     assert code == 1
 
 
+def test_localize_prints_a_constant_contribution_as_a_rational(capsys):
+    code, out, _ = run(capsys, "localize", "--config", "p4-absolute")
+    assert code == 0 and ")/(" not in out
+    assert re.search(r"locus genus2-at-p1-genus1-below +=\s5/27648 ", out)
+    code, out, _ = run(capsys, "localize", "--config", "fig8-relative", "--json")
+    values = {i["label"]: i["value"] for i in json.loads(out)["items"]}
+    assert values["locus genus2-at-p1"] == "19/5760"
+    assert values["locus genus2-at-p2"] == "0"
+    # a contribution with weight symbols keeps its rational-function form
+    code, out, _ = run(capsys, "localize", "--config", "p4-relative-delta1")
+    assert code == 0 and "= (-1/165888*a2^6)/(a1^6 - a1^4*a2^2) " in out
+
+
 def test_localize_help_lists_names_it_accepts(capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "1000")  # keep the help on one line
     code, out, _ = run(capsys, "localize", "--help")
@@ -154,20 +171,21 @@ def test_graphs_output_golden(capsys):
 
 
 def test_scalar_output_golden(capsys):
-    # sha256 of the full stdout: pins the per-locus str() of every scalar,
+    # sha256 of the full stdout: pins the per-locus value of every scalar
+    # (a rational where the contribution is constant, else its str()),
     # the numeric evaluation, the printed DeltaPoly of each example and the
     # Chern rows of each hypersurface
     golden = {
         ("localize", "--config", "fig7", "--eval", "5,2"):
-            "d6606679206596d805540b8f7cf85f53f38eaf9e1fd2c724f65eacfb6406f750",
+            "562b0dbabf7d08d1438a10776ec91e524589c7aa13f77dd5da8ac1c9a018a1cb",
         ("localize", "--config", "fig10", "--eval", "5,2"):
-            "eaa60920381a6f78712edd0dc3f9269e7651a230ed757f17bca76a3920c3095d",
+            "c99bb3d7b897154817c43056c1130df3607e48a292c5d36c685012c16cbe52a9",
         ("localize", "--config", "fig8-absolute", "--eval", "5,2"):
-            "a31cd085c5511827ecb86fef5b8482810fbe9871c20942ccf454734295777b66",
+            "5277d4d20420764738d7e901757efeb2a3957129367e5a9dc9337834e9a6ae36",
         ("localize", "--config", "fig8-relative", "--eval", "5,2"):
-            "1894df3c30eafa451249aa510a935139e603ad56e05e7f10481eca82202d7514",
+            "e5ddc49ff8640de4cd4cb6ac7457eef65d079786bc32f0c3b8b954a99718225d",
         ("localize", "--config", "p4-absolute", "--eval", "5,2"):
-            "f12eff1c7d0790223342364cc2ecc4daa46a6f0fb8453e35371da9720aaf6366",
+            "c7e3a6cb08654f9cb2c6da4e392f7fd5ce622feb980662ba5ad15afa06989e37",
         ("localize", "--config", "p4-relative-delta1", "--eval", "5,2"):
             "4fab4bb6d571c2af41804cf2b719cd7aa06ec2ebff274812b06db15a1c334755",
         ("localize", "--config", "p4-relative-delta1", "--json"):
@@ -611,3 +629,24 @@ def test_expectation_mismatch_is_a_failed_check(capsys, tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "resolve_problem", mismatch)
     code, _, err = run(capsys, "localize", "--config", path)
     assert code == 1 and "computed 1, expected 2" in err
+
+
+@pytest.mark.parametrize("argv, lines_read", [
+    # `gwverify graphs ... | head -n 1`: the reader goes after one line of 6,602
+    (["graphs", "--example", "3", "--delta", "12"], 1),
+    # a reader gone before the report is printed: it fails at the flush
+    (["verify", "--example", "3", "--delta", "2"], 0),
+], ids=["after-one-line", "before-any-output"])
+def test_a_closed_stdout_ends_the_command_quietly(argv, lines_read):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gwverify.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=root,
+    )
+    for _ in range(lines_read):
+        assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (0, b"")
