@@ -9,6 +9,7 @@ three worked examples assembled from the other modules.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Optional, Sequence
 
 from ._record import Frozen, set_field
@@ -95,15 +96,20 @@ class BipartiteGraph(Frozen):
                 raise ValueError("edge labels must be positive")
 
     def describe(self) -> str:
-        bits = []
-        if self.x_vertex:
-            bits.append(
-                f"X(g={self.x_vertex.genus},A={self.x_vertex.degree},k={self.x_vertex.marks})"
-            )
-        for v, ls in zip(self.v_vertices, self.labels):
-            comp = f"@{v.component}" if v.component else ""
-            bits.append(f"V{comp}(g={v.genus},d={v.degree},s={list(ls)})")
+        bits = [_x_text(self.x_vertex)] if self.x_vertex else []
+        bits += map(_v_text, self.v_vertices, self.labels)
         return " | ".join(bits)
+
+
+# Each fragment's one ")" is its last character, so no fragment is a proper
+# prefix of another, and tuples of fragments sort as their joined text.
+def _x_text(vertex: GraphVertex) -> str:
+    return f"X(g={vertex.genus},A={vertex.degree},k={vertex.marks})"
+
+
+def _v_text(vertex: GraphVertex, labels: tuple[int, ...]) -> str:
+    comp = f"@{vertex.component}" if vertex.component else ""
+    return f"V{comp}(g={vertex.genus},d={vertex.degree},s={list(labels)})"
 
 
 # ---------------------------------------------------------------------------
@@ -213,14 +219,16 @@ def enumerate_graphs(
     it has A.V components, each met with weight one, which stay
     distinguishable.
 
-    Each component has one list of V-vertex types (vertex, labels, cost),
-    degree and labels descending, then genus ascending; the cost gv + e - 1
-    of a genus-gv vertex with e labels is its genus plus the loops it
-    closes.  One recursion draws a multiset of types per component, in list
-    order, from one shared genus budget; the X-vertex takes what is left.
-    A predicate ``keep(vertex, labels)`` filters the type lists once, so
-    only the graphs whose every V-vertex passes it are built, in the same
-    order as in the full list."""
+    Each component has one list of V-vertex types (vertex, labels, cost,
+    text), degree and labels descending, then genus ascending; the cost
+    gv + e - 1 of a genus-gv vertex with e labels is its genus plus the loops
+    it closes, and the text is its fragment of ``describe``.  One recursion
+    draws a multiset of types per component, in list order, from one shared
+    genus budget; the X-vertex takes what is left.  The graphs come in
+    ``describe`` order, sorted on their tuples of fragments.  A predicate
+    ``keep(vertex, labels)`` filters the type lists once, so only the graphs
+    whose every V-vertex passes it are built, in the same order as in the
+    full list."""
     if AdotV < 0:
         raise ValueError("A.V must be nonnegative")
     if g > MAX_GRAPH_GENUS or AdotV > MAX_GRAPH_WEIGHT:
@@ -254,29 +262,35 @@ def enumerate_graphs(
             by_genus = [GraphVertex(gv, d, 0, comp) for gv in range(g + 1)]
             # e labels close e - 1 loops: at most g + 1 labels, genus <= g + 1 - e
             types[-1] += [
-                (vertex, labels, vertex.genus + len(labels) - 1)
+                (vertex, labels, vertex.genus + len(labels) - 1, _v_text(vertex, labels))
                 for labels in _partitions(d, max_len=g + 1)
                 for vertex in by_genus[: g + 2 - len(labels)]
                 if keep is None or keep(vertex, labels)
             ]
-    graphs: list[BipartiteGraph] = []
+    x_texts = [_x_text(GraphVertex(budget, 1, k)) for budget in range(g + 1)]
+    found: list[tuple[str, tuple[str, ...], BipartiteGraph]] = []
 
-    def draw(c, start, left, budget, vertices, labels):
+    def draw(c, start, left, budget, vertices, labels, texts):
         # component c is full when left is 0 (c = -1 starts the first); no
         # draw takes a type before the last one, so each multiset comes once
         if left == 0:
             c += 1
             if c == len(types):
-                graphs.append(BipartiteGraph(GraphVertex(budget, 1, k), vertices, labels))
+                graph = BipartiteGraph(GraphVertex(budget, 1, k), vertices, labels)
+                found.append((x_texts[budget], texts, graph))
                 return
             start, left = 0, weights[c]
         for i in range(start, len(types[c])):
-            vertex, ls, cost = types[c][i]
+            vertex, ls, cost, text = types[c][i]
             if vertex.degree <= left and cost <= budget:
-                draw(c, i, left - vertex.degree, budget - cost, vertices + (vertex,), labels + (ls,))
+                draw(
+                    c, i, left - vertex.degree, budget - cost,
+                    vertices + (vertex,), labels + (ls,), texts + (text,),
+                )
 
-    draw(-1, 0, 0, g, (), ())
-    graphs.sort(key=BipartiteGraph.describe)
+    draw(-1, 0, 0, g, (), (), ())
+    found.sort(key=itemgetter(0, 1))
+    graphs = [graph for _, _, graph in found]
     for graph in graphs:
         graph.validate(g, AdotV, k)
     return graphs

@@ -2,11 +2,18 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from gwverify.errors import NoUnitExponent, NoZeroExponent, ResourceBound, UnstableInput
+from gwverify.errors import (
+    NoUnitExponent,
+    NoZeroExponent,
+    ResourceBound,
+    UnstableInput,
+    UnstableReduction,
+)
 from gwverify import psi
 from gwverify.psi import (
     PsiKey,
@@ -172,8 +179,6 @@ def test_dilaton_reduce():
 
 def test_dilaton_stability_boundary():
     # the 1-pointed genus-1 value is a base case: reduction is unstable
-    from gwverify.errors import UnstableReduction
-
     with pytest.raises(UnstableReduction):
         dilaton_reduce(PsiKey(1, (1,)))
     assert val(1, 1) == Fraction(1, 24)
@@ -350,6 +355,35 @@ def test_heaviest_cells_cold(g, exps):
         if point == 0 or a != key.exponents[point - 1]:
             assert dvv_expand(key, point) == value, point
     # a split of a genus outside [0, g] multiplies by a value of 0, so only
-    # the memo shows one
+    # the memo shows one.  No key has more points plus genus than the query,
+    # so no count of a packed key reaches 32 and carries into the next field
     for k in memoized_keys():
         assert 0 <= k.genus <= g and k.is_stable() and sum(k.exponents) == k.dim, k
+        assert max(Counter(k.exponents).values(), default=0) <= k.n + k.genus <= g + len(exps), k
+
+
+def test_packed_keys():
+    rng = random.Random(45)
+    for _ in range(200):
+        g = rng.randint(0, 6)
+        exps = tuple(sorted((rng.randint(0, 27) for _ in range(rng.randint(0, 12))), reverse=True))
+        code = psi._encode(g, exps)
+        assert code & psi._MASK == g and psi._exponents(code) == exps
+        assert psi._runs(code) == sorted(Counter(exps).items())
+    # the dilaton step reads g + n from the code modulo 31, so try it at
+    # n + g = 31: <tau_1^28 tau_0^3>_0 = 28!, scaled by 2^29 3!!^28
+    assert psi._norm(0, (1,) * 28 + (0,) * 3) == 2**29 * 3**28 * math.factorial(28)
+    with pytest.raises(ResourceBound):
+        psi._norm(0, (1,) * 29 + (0,) * 3)
+    with pytest.raises(ResourceBound):
+        psi._norm(30, (88, 0))
+    keys = [(k.genus, k.exponents) for k in memoized_keys()]
+    assert keys == sorted(set(keys))
+
+
+def test_dvv_expand_refuses_the_seeds():
+    # removing the point leaves (0, 2) or (1, 0), where the DVV step fails
+    for key in (PsiKey(0, (0, 0, 0)), PsiKey(1, (1,))):
+        with pytest.raises(UnstableReduction, match="removing a point"):
+            dvv_expand(key)
+    assert val(0, 0, 0, 0) == 1 and val(1, 1) == Fraction(1, 24)
