@@ -16,13 +16,6 @@ import os
 import sys
 from collections.abc import Iterator
 
-from .chern import (
-    degree_correction_genus3,
-    euler_char,
-    gw_genus1_deg0,
-    hypersurface,
-    projective_space,
-)
 from .errors import (
     DenominatorVanishes,
     ExpectationMismatch,
@@ -43,8 +36,6 @@ from .localization import (
 from .psi import PsiKey, psi_intersect
 from .reports import VerificationReport
 from .scalars import rat_from_str, rat_to_str
-from .selftest import run_selftest
-from .sumformula import assemble_example, example_graphs, thm1_verdict, vir_dim
 
 
 def _ints(text: str) -> list[int]:
@@ -80,6 +71,8 @@ def weight_pair(text: str) -> str:
 
 
 def _space(name: str):
+    from .chern import projective_space
+
     name = name.upper()
     if not name.startswith("P") or not name[1:].isdigit():
         raise ParseError(f"unknown space {name!r}; use P1..P6")
@@ -107,6 +100,8 @@ def _chern_vector(data) -> str:
 
 
 def cmd_chern(args) -> VerificationReport:
+    from .chern import degree_correction_genus3, euler_char, hypersurface
+
     X = _space(args.space)
     report = VerificationReport(command="chern")
     report.add(f"total chern class of {X.name}", _chern_vector(X))
@@ -125,6 +120,8 @@ def cmd_chern(args) -> VerificationReport:
 
 
 def cmd_gw10(args) -> list[str]:
+    from .chern import gw_genus1_deg0, hypersurface
+
     X = _space(args.X)
     V = hypersurface(X.dim, args.V) if args.V is not None else None
     if args.insertion == "j":
@@ -167,6 +164,8 @@ def cmd_localize(args) -> VerificationReport:
 
 def cmd_graphs(args) -> Iterator[str]:
     """Yields its lines one at a time: example 3 at delta = 12 has 6,602."""
+    from .sumformula import example_graphs
+
     rows = example_graphs(args.example, args.delta)
     total = len(rows)
     if args.surviving:
@@ -178,15 +177,21 @@ def cmd_graphs(args) -> Iterator[str]:
 
 
 def cmd_thm1(args) -> list[str]:
+    from .sumformula import thm1_verdict
+
     return [thm1_verdict(args.n, args.g, args.A == "zero", args.kappa == "trivial")]
 
 
 def cmd_dim(args) -> list[str]:
+    from .sumformula import vir_dim
+
     contact = _ints(args.s) if args.s is not None else None
     return [str(vir_dim(args.n, args.g, args.k, args.c1A, contact, args.AdotV))]
 
 
 def cmd_verify(args) -> VerificationReport:
+    from .sumformula import assemble_example
+
     if args.symbolic and args.delta is not None:
         raise ValueError("--symbolic and --delta exclude each other")
     if args.n is not None and args.example != 1:
@@ -196,6 +201,8 @@ def cmd_verify(args) -> VerificationReport:
 
 
 def cmd_selftest(args) -> VerificationReport:
+    from .selftest import run_selftest
+
     return run_selftest()
 
 

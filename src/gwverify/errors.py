@@ -43,6 +43,10 @@ class UnstableReduction(GwError, ValueError):
     """Removing the marked point would leave an unstable (g, n)."""
 
 
+class NoSuchPoint(GwError, IndexError):
+    """A marked-point index outside ``0 .. n - 1``."""
+
+
 # -- hodge oracle ----------------------------------------------------------
 
 class GenusOutOfRange(GwError, ValueError):

@@ -59,7 +59,7 @@ from .ring import (
     geometric_series,
     tc_integrate,
 )
-from .scalars import ES_ZERO, EquivariantScalar, rat_from_str
+from .scalars import EquivariantScalar, es_sum, rat_from_str
 
 BUILTIN_ALIASES = {
     "fig7": "fig7",
@@ -165,10 +165,8 @@ def locus_contribution(spec: FixedLocusSpec) -> EquivariantScalar:
     cached = _CONTRIB_CACHE.get(spec)
     if cached is not None:
         return cached
-    total = ES_ZERO
     try:
-        for term in spec.terms:
-            total = total + _term_contribution(term)
+        total = es_sum(_term_contribution(term) for term in spec.terms)
     except Inhomogeneous as exc:
         raise SchemaError(f"{spec.where or f'locus {spec.label!r}'}: {exc}") from exc
     _CONTRIB_CACHE[spec] = total
@@ -192,11 +190,9 @@ def problem_total(problem: LocalizationProblem) -> Fraction:
 
 def problem_symbolic_total(problem: LocalizationProblem) -> EquivariantScalar:
     """The total before the constancy assertion (for numeric spot checks)."""
-    total = ES_ZERO
-    for spec in problem.loci:
-        if spec.vanishes is not None:
-            continue
-        total = total + locus_contribution(spec)
+    total = es_sum(
+        [locus_contribution(spec) for spec in problem.loci if spec.vanishes is None]
+    )
     total = total.scale(problem.symmetry_multiplier)
     if problem.weight_swap:
         total = total + total.swap_weights()

@@ -40,6 +40,7 @@ from math import comb, prod
 
 from ._record import Frozen, set_field
 from .errors import (
+    NoSuchPoint,
     NoUnitExponent,
     NoZeroExponent,
     ResourceBound,
@@ -251,10 +252,13 @@ def dvv_expand(key: PsiKey, point: int = 0) -> Fraction:
     space, so those raise ``UnstableReduction``.  The recursion takes it only
     on keys it cannot reduce by dilaton, at the smallest exponent, so at a
     point of any other exponent it is an independent check of the
-    recursion."""
+    recursion.  A key off its dimension is 0 without a step; on any other
+    key, an index outside ``0 .. n - 1`` raises ``NoSuchPoint``."""
     check_bounds(key.genus, len(key.exponents))
     if sum(key.exponents) != key.dim:
         return Fraction(0)
+    if not 0 <= point < key.n:
+        raise NoSuchPoint(f"{key} has no point with index {point}")
     g, exps = key.genus, key.exponents
     if not (2 * g - 3 + len(exps) > 0):
         raise UnstableReduction(f"removing a point from {key} is unstable")

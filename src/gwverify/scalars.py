@@ -267,12 +267,10 @@ class WeightPoly:
         return power(self, n, WeightPoly.const(1))
 
     def eval_at(self, w1: Rational, w2: Rational) -> Fraction:
-        w1, w2 = Fraction(w1), Fraction(w2)
-        # the form at (x/q, y/q) is c * sum(row[k] * x^(d-k) * y^k) / q^d
-        x, y = w1.numerator * w2.denominator, w2.numerator * w1.denominator
-        q = w1.denominator * w2.denominator
-        s = sum(r * x ** (self.d - k) * y**k for k, r in enumerate(self.row) if r)
-        return Fraction(self.c.numerator * s, self.c.denominator * q**self.d)
+        (n1, d1), (n2, d2) = _ratio(w1), _ratio(w2)
+        # the form at (x/q, y/q) is c * row(x, y) / q^d
+        s = _row_at(self.d, self.row, n1 * d2, n2 * d1)
+        return Fraction(self.c.numerator * s, self.c.denominator * (d1 * d2) ** self.d)
 
     def swap_weights(self) -> "WeightPoly":
         if not self.row:
@@ -333,6 +331,24 @@ def _canon(d: int, row: Sequence[int], den: int = 1) -> WeightPoly:
     else:
         c = Fraction(g) if den == 1 else Fraction(g, den)
     return _form(d, c, row)
+
+
+def _ratio(w) -> tuple[int, int]:
+    """The numerator and the positive denominator of a weight, of any type
+    that ``Fraction()`` accepts."""
+    if not isinstance(w, (int, Fraction)):
+        w = Fraction(w)
+    return w.numerator, w.denominator
+
+
+def _row_at(d: int, row: Row, x: int, y: int) -> int:
+    """The form ``a1^d row(a2/a1)`` at the integers a1 = x, a2 = y: Horner in
+    y over the row, then the power of x that the row's length leaves."""
+    acc, x_power = 0, 1
+    for r in reversed(row):
+        acc = acc * y + r * x_power
+        x_power *= x
+    return acc * x ** (d + 1 - len(row))
 
 
 def _sum_forms(d: int, forms: Sequence[WeightPoly]) -> WeightPoly:
@@ -430,7 +446,7 @@ class EquivariantScalar:
     __slots__ = ("num", "den")
 
     def __init__(self, num: WeightPoly, den: WeightPoly | None = None):
-        if den is None:
+        if den is None or den is _ONE_POLY:
             self.num, self.den = num, _ONE_POLY
             return
         if not den.row:
@@ -531,6 +547,8 @@ class EquivariantScalar:
         return power(self, n, ES_ONE)
 
     def scale(self, c: Rational) -> "EquivariantScalar":
+        if c == 1:  # most multiplicities and symmetry multipliers
+            return self
         if not c:
             return ES_ZERO
         res = EquivariantScalar.__new__(EquivariantScalar)
@@ -538,11 +556,28 @@ class EquivariantScalar:
         return res
 
     def eval_at(self, weights: Iterable[Rational]) -> Fraction:
-        w1, w2 = [Fraction(w) for w in weights]
-        d = self.den.eval_at(w1, w2)
-        if d == 0:
+        """The exact value at two numeric weights.
+
+        At ``w_i = n_i/d_i`` each form is its integer row at x = n1 d2,
+        y = n2 d1 over a power of q = d1 d2, and the denominator has content
+        1, so weights given as int or Fraction build one Fraction, the value,
+        and none for a constant.
+        """
+        w1, w2 = weights
+        (n1, d1), (n2, d2) = _ratio(w1), _ratio(w2)
+        num, den = self.num, self.den
+        if not num.d and not den.d:  # a constant, as most shipped loci are
+            return num.c
+        x, y = n1 * d2, n2 * d1
+        v = _row_at(den.d, den.row, x, y)
+        if not v:
+            w1, w2 = Fraction(n1, d1), Fraction(n2, d2)
             raise DenominatorVanishes(f"denominator vanishes at ({w1}, {w2})")
-        return self.num.eval_at(w1, w2) / d
+        u = num.c.numerator * _row_at(num.d, num.row, x, y)
+        k = num.d - den.d
+        if k >= 0:
+            return Fraction(u, num.c.denominator * v * (d1 * d2) ** k)
+        return Fraction(u * (d1 * d2) ** -k, num.c.denominator * v)
 
     def swap_weights(self) -> "EquivariantScalar":
         return EquivariantScalar(self.num.swap_weights(), self.den.swap_weights())
@@ -575,6 +610,36 @@ def inhomogeneous_sum(x: int, y: int) -> Inhomogeneous:
     """The error that adding nonzero scalars of the different degrees x and
     y raises."""
     return Inhomogeneous(f"cannot add scalars of degree {x} and {y}")
+
+
+def es_sum(terms: Iterable[EquivariantScalar]) -> EquivariantScalar:
+    """The sum of scalars: their numerators over one lcm of the
+    denominators, added as integer rows and reduced once.
+
+    The first nonzero term fixes the weight degree; a later nonzero term of
+    another degree raises :class:`Inhomogeneous`, whatever the partial sum
+    has come to.  Terms that share one denominator, as constants do, skip
+    the lcm.
+    """
+    nonzero: list[EquivariantScalar] = []
+    for t in terms:
+        if t.num.row:
+            d = t.num.d - t.den.d
+            if not nonzero:
+                first = d
+            elif d != first:
+                raise inhomogeneous_sum(first, d)
+            nonzero.append(t)
+    if len(nonzero) < 2:
+        return nonzero[0] if nonzero else ES_ZERO
+    den = nonzero[0].den
+    if all(t.den is den or t.den == den for t in nonzero):
+        nums = [t.num for t in nonzero]
+    else:
+        for t in nonzero:
+            den = form_lcm(den, t.den)
+        nums = [t.num * poly_divexact(den, t.den) for t in nonzero]
+    return EquivariantScalar(_sum_forms(nums[0].d, nums), den)
 
 
 # Spec-facing helpers -------------------------------------------------------

@@ -73,6 +73,61 @@ def test_sum_check_absolute_p4():
     assert 2 * s == Fraction(-37, 82944)
 
 
+def test_totals_match_the_pairwise_fold():
+    # problem_symbolic_total and locus_contribution add over one lcm of the
+    # denominators; a fold of `+` over the same scalars is the reference
+    from gwverify.localization import _term_contribution
+    from gwverify.selftest import criterion_6_per_locus_goldens
+
+    printed = {
+        "fig7": 1,
+        "fig10": 4,
+        "fig8-absolute": Fraction(1, 240),
+        "fig8-relative": Fraction(19, 5760),
+        "p4-absolute": Fraction(-37, 82944),
+        "p4-relative-delta1": Fraction(-97, 193536),
+    }
+    terms = 0
+    for name, value in printed.items():
+        problem = builtin_problem(name)
+        total = ES_ZERO
+        for spec in problem.loci:
+            if spec.vanishes is None:
+                contribution = ES_ZERO
+                for term in spec.terms:
+                    contribution = contribution + _term_contribution(term)
+                    terms += 1
+                assert locus_contribution(spec) == contribution, (name, spec.label)
+                total = total + contribution
+        total = total.scale(problem.symmetry_multiplier)
+        if problem.weight_swap:
+            total = total + total.swap_weights()
+        assert problem_symbolic_total(problem) == total == value, name
+        assert problem_total(problem) == value
+    assert terms == 18
+    assert criterion_6_per_locus_goldens() == (True, "8 equalities hold exactly")
+
+
+def test_mixed_degree_terms_after_a_cancelling_pair_are_schema_error():
+    # the first nonzero term fixes the weight degree: terms of degree 1 that
+    # cancel, then one of degree 0, fail even though the partial sum is 0
+    def term(insertion):
+        return {"base": [{"kind": "point"}], "insertion": insertion}
+
+    problem = parse_problem(
+        {
+            "label": "mixed",
+            "loci": [{"label": "pt", "terms": [term("a1"), term("-a1"), term("1")]}],
+        },
+        "test",
+    )
+    with pytest.raises(
+        SchemaError, match="^test locus 'pt': cannot add scalars of degree 1 and 0$"
+    ) as info:
+        problem_total(problem)
+    assert isinstance(info.value.__cause__, Inhomogeneous)
+
+
 # -- per-locus goldens ----------------------------------------------------------
 
 def test_fig8_locus_goldens():

@@ -30,7 +30,9 @@ loaded()
 gwverify.hodge_intersect
 gwverify.builtin_problem("fig7")
 loaded()
-import gwverify.cli, gwverify.selftest
+import gwverify.cli
+loaded()
+import gwverify.selftest
 loaded()
 """
 
@@ -43,11 +45,17 @@ def test_cold_start_loads_only_what_is_used():
     )
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
     steps = [json.loads(line) for line in proc.stdout.splitlines()]
-    (bare, _), (oracle, _), (everything, others) = steps[0:2], steps[2:4], steps[4:6]
+    (bare, _), (oracle, _), (cli, _), (everything, others) = (
+        steps[0:2], steps[2:4], steps[4:6], steps[6:8]
+    )
     assert bare == []
     assert "gwverify.hodge" in oracle and "gwverify.localization" in oracle
     for module in ("selftest", "sumformula", "chern", "reports", "cli"):
         assert f"gwverify.{module}" not in oracle
+    # the commands that use them import these
+    assert "gwverify.cli" in cli
+    for module in ("selftest", "sumformula", "chern"):
+        assert f"gwverify.{module}" not in cli
     assert "gwverify.cli" in everything and "gwverify.selftest" in everything
     assert "dataclasses" not in others and "inspect" not in others
 

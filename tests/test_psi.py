@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from gwverify.errors import (
+    GwError,
     NoUnitExponent,
     NoZeroExponent,
     ResourceBound,
@@ -387,3 +388,11 @@ def test_dvv_expand_refuses_the_seeds():
         with pytest.raises(UnstableReduction, match="removing a point"):
             dvv_expand(key)
     assert val(0, 0, 0, 0) == 1 and val(1, 1) == Fraction(1, 24)
+
+
+def test_dvv_expand_refuses_a_point_out_of_range():
+    key = PsiKey(2, (3, 2))
+    assert dvv_expand(key, 0) == dvv_expand(key, 1) == val(2, 3, 2)
+    for point in (-1, 2):
+        with pytest.raises(GwError, match=rf"exponents=\(3, 2\)\) has no point with index {point}"):
+            dvv_expand(key, point)

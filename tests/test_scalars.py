@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -14,6 +16,7 @@ from gwverify.scalars import (
     EquivariantScalar,
     WeightPoly,
     es_eval,
+    es_sum,
     poly_divexact,
     poly_gcd,
     rat_from_str,
@@ -510,3 +513,113 @@ def test_delta_poly_matches_fraction_rows(p, q, c, n):
         power = _dp_mul(power, p)
     _check_delta_poly(P**n, power)
     assert (P == c) == (_dp_trim(p) == _dp_trim([c]))
+
+
+# ---------------------------------------------------------------------------
+# evaluation and sums on integer rows, against Fraction references
+# ---------------------------------------------------------------------------
+
+def _ref_terms(p):
+    """The monomials of a stored form as a dict of Fraction coefficients."""
+    return {(p.d - k, k): p.c * x for k, x in enumerate(p.row) if x}
+
+
+def _random_scalars(rng, count, degree, dens):
+    """Scalars of one degree over denominators drawn from those of ``dens``
+    with degree at least -degree."""
+    dens = [den for den in dens if den.degree() + degree >= 0]
+    out = []
+    for _ in range(count):
+        den = rng.choice(dens)
+        num = WeightPoly.zero()
+        while num.is_zero():
+            num = WeightPoly(_ref_form(rng, den.degree() + degree))
+        out.append(EquivariantScalar(num, den))
+    return out
+
+
+EVAL_WEIGHTS = [
+    (3, 1),
+    (-4, 7),
+    (Fraction(-2), Fraction(-5, 3)),
+    (Fraction(7, 2), Fraction(1, 3)),
+    ("5/4", "-2"),
+    (" 3 ", Fraction(-9, 4)),
+    (0, 5),
+    (Fraction(2, 3), 0),
+    ("0", "0"),
+    (1, 1),
+    (2, -2),
+]
+
+
+def test_eval_matches_fraction_reference():
+    rng = random.Random(46)
+    a1, a2 = WeightPoly.gen(1), WeightPoly.gen(2)
+    dens = [
+        WeightPoly.const(1), a1, a2, a1 * a2, a1 - a2, a1 + a2, a1 ** 2 - a2 ** 2,
+        (a1 + a2.scale(2)) * a1 ** 3, a1 ** 2 + a2 ** 2,
+    ]
+    poles = 0
+    for degree in (-3, -1, 0, 1, 2):
+        for s in _random_scalars(rng, 12, degree, dens):
+            num, den = _ref_terms(s.num), _ref_terms(s.den)
+            for w in EVAL_WEIGHTS:
+                w1, w2 = map(Fraction, w)
+                v = _ref_eval(den, w1, w2)
+                if v == 0:
+                    poles += 1
+                    with pytest.raises(DenominatorVanishes) as info:
+                        s.eval_at(w)
+                    assert str(info.value) == f"denominator vanishes at ({w1}, {w2})"
+                    continue
+                got = s.eval_at(iter(w))
+                assert type(got) is Fraction and got == _ref_eval(num, w1, w2) / v
+                assert es_eval(s, list(w)) == got
+    assert poles > 50
+    # a constant has no pole, even at (0, 0)
+    assert const(-5, 27648).eval_at(("0", 0)) == Fraction(-5, 27648)
+    with pytest.raises(DenominatorVanishes, match=r"^denominator vanishes at \(-1/2, 1/2\)$"):
+        (ES_ONE / (A1 + A2)).eval_at(["-0.5", Fraction(1, 2)])
+
+
+def _fold(terms):
+    return functools.reduce(operator.add, terms, ES_ZERO)
+
+
+def test_es_sum_matches_the_pairwise_fold():
+    rng = random.Random(146)
+    a1, a2 = WeightPoly.gen(1), WeightPoly.gen(2)
+    one = [WeightPoly.const(1)]
+    shared = [a1 ** 2 * (a1 - a2)]
+    distinct = [WeightPoly.const(1), a1, a2 ** 2, a1 - a2, a1 + a2, a1 * (a1 - a2), a1 ** 2 - a2 ** 2]
+    assert es_sum([]) == ES_ZERO and es_sum(iter([])) == ES_ZERO
+    for dens in (one, shared, distinct):
+        for _ in range(40):
+            degree = rng.randint(-max(den.degree() for den in dens), 2)
+            terms = _random_scalars(rng, rng.randint(1, 5), degree, dens)
+            if rng.random() < 0.3:  # a sum that cancels to 0
+                terms += [-t for t in terms]
+                rng.shuffle(terms)
+            if rng.random() < 0.3:
+                terms.insert(rng.randrange(len(terms) + 1), ES_ZERO)
+            got = _assert_canonical(es_sum(iter(terms)))
+            assert got == _fold(terms)
+    assert es_sum([A1 / A2, ES_ZERO]) == A1 / A2
+    assert es_sum([A1, -A1]) == ES_ZERO and es_sum([A1, -A1]).den == WeightPoly.const(1)
+
+
+def test_es_sum_degree_is_fixed_by_the_first_nonzero_term():
+    with pytest.raises(Inhomogeneous, match="^cannot add scalars of degree 1 and 0$"):
+        es_sum([A1, ES_ONE])
+    with pytest.raises(Inhomogeneous, match="^cannot add scalars of degree 0 and 1$"):
+        es_sum([ES_ONE, A2 / ES_ONE])
+    with pytest.raises(Inhomogeneous, match="^cannot add scalars of degree 1 and 0$"):
+        es_sum([ES_ZERO, A1, A2, ES_ONE])
+    with pytest.raises(Inhomogeneous, match="^cannot add scalars of degree -1 and 2$"):
+        es_sum([ES_ONE / A1, A2 / (A1 * A2), A1**3 / A2])
+    # the pairwise fold returned 1 here, since its partial sum A1 - A1 is 0;
+    # the sum is checked term by term, whatever the partial sums come to
+    assert _fold([A1, -A1, ES_ONE]) == ES_ONE
+    with pytest.raises(Inhomogeneous, match="^cannot add scalars of degree 1 and 0$"):
+        es_sum([A1, -A1, ES_ONE])
